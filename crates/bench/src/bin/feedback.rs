@@ -4,7 +4,7 @@
 //! and measure whether the feedback-guided schedule holds (or beats) the
 //! structural baseline.
 //!
-//! Per design this runs four measurements:
+//! Per design this runs three measurements:
 //!
 //! * **base** — the stock CCSS engine (the PR-4 configuration),
 //!   best-of-N;
@@ -16,10 +16,9 @@
 //!   conditions are supposed to make it conservative, so a real
 //!   slowdown is a bug, not noise. A marginal first batch escalates to
 //!   a larger one before failing, like the profile bench's overhead
-//!   gate;
-//! * the parallel engine both ways — legacy uniform level sweep vs.
-//!   LPT bins packed by the measured costs (informational columns; the
-//!   LPT-vs-sweep equivalence is property-tested, not benchmarked).
+//!   gate.
+//!
+//! The parallel engine is measured by the `bsp` bin.
 //!
 //! Run: `cargo run --release -p essent-bench --bin feedback
 //! [--quick|--full|--smoke] [tiny r16 r18 boom]`. `--smoke` is the CI
@@ -30,7 +29,7 @@ use essent_core::partition::{partition, partition_with_prior, ActivityMergeParam
 use essent_core::plan::extended_dag;
 use essent_designs::soc::SocConfig;
 use essent_designs::workloads::{run_workload, Workload};
-use essent_sim::{EngineConfig, EssentSim, ParEssentSim, ProfileReport, Simulator};
+use essent_sim::{EngineConfig, EssentSim, ProfileReport, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -43,8 +42,6 @@ struct Row {
     name: String,
     base_khz: f64,
     feedback_khz: f64,
-    par_sweep_khz: f64,
-    par_lpt_khz: f64,
     /// Live partitions before / after the activity merge, and how many
     /// merges the log records.
     parts_before: usize,
@@ -132,9 +129,9 @@ fn timed(mut sim: impl Simulator, workload: &Workload, what: &str, name: &str) -
 fn measure(config: &SocConfig, workload: &Workload) -> Row {
     let design = build_design(config);
 
-    // The verifier gate — the full stack, now including the F0401–F0403
-    // feedback layer, so a broken merge replay or bin cover fails the
-    // bench before any number is reported.
+    // The verifier gate — the full stack, including the F0401 feedback
+    // layer, so a broken merge replay fails the bench before any number
+    // is reported.
     let report = essent_verify::verify_design(&design.optimized, &EngineConfig::default());
     assert_eq!(
         report.error_count(),
@@ -198,27 +195,10 @@ fn measure(config: &SocConfig, workload: &Workload) -> Row {
         feedback_khz = feedback_khz.max(fb_batch(10));
     }
 
-    // Parallel engine, both schedulers (informational).
-    let par = |lpt: bool| {
-        let cfg = EngineConfig {
-            par_lpt: lpt,
-            ..quiet(false)
-        };
-        let sim = match lpt {
-            true => ParEssentSim::new_with_prior(&design.optimized, &cfg, 4, &prior),
-            false => ParEssentSim::new(&design.optimized, &cfg, 4),
-        };
-        khz(&timed(sim, workload, "parallel CCSS", &config.name))
-    };
-    let par_sweep_khz = par(false);
-    let par_lpt_khz = par(true);
-
     Row {
         name: config.name.clone(),
         base_khz,
         feedback_khz,
-        par_sweep_khz,
-        par_lpt_khz,
         parts_before,
         parts_after,
         merges: log.len(),
@@ -241,12 +221,12 @@ fn profile_run(design: &BuiltDesign, workload: &Workload) -> ProfileReport {
 
 fn print_table(rows: &[Row]) {
     println!(
-        "{:<6} {:>10} {:>10} {:>7} {:>14} {:>8} {:>10} {:>10}",
-        "design", "base(kHz)", "fb(kHz)", "ratio", "parts", "merges", "sweep(kHz)", "lpt(kHz)"
+        "{:<6} {:>10} {:>10} {:>7} {:>14} {:>8}",
+        "design", "base(kHz)", "fb(kHz)", "ratio", "parts", "merges"
     );
     for r in rows {
         println!(
-            "{:<6} {:>10.1} {:>10.1} {:>6.2}x {:>7}->{:<6} {:>8} {:>10.1} {:>10.1}",
+            "{:<6} {:>10.1} {:>10.1} {:>6.2}x {:>7}->{:<6} {:>8}",
             r.name,
             r.base_khz,
             r.feedback_khz,
@@ -254,8 +234,6 @@ fn print_table(rows: &[Row]) {
             r.parts_before,
             r.parts_after,
             r.merges,
-            r.par_sweep_khz,
-            r.par_lpt_khz,
         );
     }
 }
@@ -277,9 +255,7 @@ fn render_json(scale: u32, smoke: bool, rows: &[Row]) -> String {
         let _ = writeln!(s, "      \"activity_factor\": {:.4},", r.activity);
         let _ = writeln!(s, "      \"partitions_before\": {},", r.parts_before);
         let _ = writeln!(s, "      \"partitions_after\": {},", r.parts_after);
-        let _ = writeln!(s, "      \"merges\": {},", r.merges);
-        let _ = writeln!(s, "      \"par_sweep_khz\": {:.1},", r.par_sweep_khz);
-        let _ = writeln!(s, "      \"par_lpt_khz\": {:.1}", r.par_lpt_khz);
+        let _ = writeln!(s, "      \"merges\": {}", r.merges);
         let _ = writeln!(s, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
     }
     let _ = writeln!(s, "  ]");

@@ -1,9 +1,17 @@
 //! **Sanitize** — runs the parallel CCSS engine under the shadow-memory
 //! race sanitizer on real designs and workloads, as the dynamic
-//! counterpart of the static footprint proof (`essent-verify`
-//! `R0501`–`R0504`): the sanitizer panics on any same-level
-//! cross-partition arena conflict, so a clean run is a dynamic witness
-//! that the proven schedule is the one actually executed.
+//! counterpart of the static footprint and dependence proofs
+//! (`essent-verify` `R0501`–`R0504`, `S0601`–`S0605`): the sanitizer
+//! panics on any same-cycle cross-partition arena conflict the dataflow
+//! schedule does not order, so a clean run is a dynamic witness that
+//! the proven schedule is the one actually executed (ready-flag waits
+//! cover every conflict, cycle-boundary overlap only between
+//! footprint-independent partitions).
+//!
+//! Both engines are forced onto the N-worker schedule
+//! ([`ParEssentSim::force_fanout`]): left to its own fan-out decision a
+//! low-activity run stays on one worker, which has no concurrency to
+//! check.
 //!
 //! Two engines per design run the same workload — sanitizer on and off —
 //! and the binary fails (exit 1 via panic) when their architectural
@@ -15,14 +23,7 @@
 //! (the sanitizer hooks compile away).
 //!
 //! Run: `cargo run --release -p essent-bench --features race-sanitizer
-//! --bin sanitize [--cycles N] [--threads T] [--dataflow] [tiny r16 r18 boom]`.
-//!
-//! `--dataflow` runs the statically scheduled dataflow engine
-//! ([`EngineConfig::par_dataflow`]) instead of the LPT level sweep: the
-//! sanitizer then dynamically witnesses the `S06xx` dependence-layer
-//! proof (ready-flag waits cover every conflict, cycle-boundary overlap
-//! only between footprint-independent partitions) rather than the
-//! level-barrier discipline.
+//! --bin sanitize [--cycles N] [--threads T] [tiny r16 r18 boom]`.
 
 use essent_bench::build_design;
 use essent_designs::soc::SocConfig;
@@ -33,7 +34,6 @@ fn main() {
     let mut designs: Vec<String> = Vec::new();
     let mut max_cycles: u64 = 50_000;
     let mut threads: usize = 3;
-    let mut dataflow = false;
     let mut expect_value = false;
     let mut expect: Option<&mut dyn FnMut(&str)> = None;
     let mut set_cycles = |v: &str| max_cycles = v.parse().expect("--cycles takes a number");
@@ -53,13 +53,9 @@ fn main() {
                 expect = Some(&mut set_threads);
                 expect_value = true;
             }
-            "--dataflow" => dataflow = true,
             "tiny" | "r16" | "r18" | "boom" => designs.push(arg),
             other => {
-                eprintln!(
-                    "usage: sanitize [--cycles N] [--threads T] [--dataflow] \
-                     [tiny r16 r18 boom]"
-                );
+                eprintln!("usage: sanitize [--cycles N] [--threads T] [tiny r16 r18 boom]");
                 panic!("unknown argument `{other}`");
             }
         }
@@ -84,10 +80,7 @@ fn main() {
             _ => SocConfig::boom(),
         };
         let built = build_design(&config);
-        let engine = EngineConfig {
-            par_dataflow: dataflow,
-            ..EngineConfig::default()
-        };
+        let engine = EngineConfig::default();
         let mut off = ParEssentSim::new(&built.optimized, &engine, threads);
         let mut on = ParEssentSim::new(
             &built.optimized,
@@ -97,6 +90,8 @@ fn main() {
             },
             threads,
         );
+        let workers = off.force_fanout();
+        on.force_fanout();
         let r_off = run_workload(&mut off, &workload, max_cycles);
         let r_on = run_workload(&mut on, &workload, max_cycles);
         assert_eq!(
@@ -109,14 +104,17 @@ fn main() {
             off.counters(),
             "sanitizer changed work counters on `{name}`"
         );
+        assert!(
+            workers < 2 || on.fanout_cycles() == r_on.cycles + 2,
+            "`{name}`: every cycle must run on {workers} workers"
+        );
         println!(
             "sanitize: `{name}` ok — {} cycle(s), {} instruction(s), \
-             tohost {:#x}, {} thread(s), {} engine, no races observed",
+             tohost {:#x}, {workers} worker(s), {} fanned-out cycle(s), no races observed",
             r_on.cycles,
             r_on.instret,
             r_on.tohost,
-            threads,
-            if dataflow { "dataflow" } else { "level-sweep" }
+            on.fanout_cycles(),
         );
     }
 }

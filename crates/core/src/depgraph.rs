@@ -1,6 +1,6 @@
 //! Whole-design static dependence analysis and dataflow (BSP) schedule
-//! synthesis — the replacement for the parallel engine's per-level
-//! barriers (ROADMAP item 2).
+//! synthesis — the parallel engine's one N-worker schedule, plus the
+//! measured activity crossover above which fanning out pays.
 //!
 //! [`DepGraph::derive`] extracts the exact inter-partition dependence
 //! structure of a [`CcssPlan`] at signal granularity:
@@ -196,7 +196,8 @@ impl DepGraph {
     }
 }
 
-/// The static dataflow (BSP) schedule the `par_dataflow` engine runs.
+/// The static dataflow (BSP) schedule the parallel engine runs when it
+/// fans out.
 ///
 /// Per cycle `k` (1-based within a run), worker `t` walks
 /// `workers[t]` in order; before evaluating partition `p` it waits for
@@ -249,16 +250,33 @@ impl DataflowSchedule {
 /// keeping an edge's endpoints on one worker.
 const HANDOFF: u64 = 200;
 
-/// Designs whose whole per-cycle work is below this are not worth any
-/// cross-worker signaling: the synthesis collapses them to one worker
-/// (the same ~microsecond threshold as the LPT serial floor).
-const SERIAL_FLOOR: u64 = 3000;
+/// The fan-out crossover: mean evaluated ops per cycle from which the
+/// parallel engine's N-worker dataflow schedule beats its one-worker
+/// sweep on the calling thread. Below it, the `done` publications,
+/// wait checks and cache-line traffic between workers cost more than
+/// the work they split. Ops are single-word steps, the same unit as the
+/// static [cost model](CcssPlan)'s step counts.
+///
+/// Measured with the `bsp` bench bin on a 2-vCPU x86-64 KVM guest
+/// (Xeon, AVX-512): an all-active register farm swept from 257 to
+/// 131k ops/cycle, one worker against two forced workers, three
+/// sweeps. 65,537 ops/cycle is the narrowest width at which two workers
+/// won in every sweep (1.23–1.36×); narrower widths went both ways
+/// (0.62–1.24×). The SoC designs, whose dhrystone runs evaluate
+/// 216–2299 ops/cycle, ran 2.8–8.9× slower fanned out. DESIGN.md §12
+/// records the sweeps. No Table III design reaches this even with
+/// every partition active, so on such a host fanning out is in effect
+/// opt-in.
+pub const FANOUT_CROSSOVER_OPS: u64 = 65_536;
 
-/// Synthesizes the static dataflow schedule: earliest-finish-time list
-/// scheduling over the dependence graph in schedule order, using the
-/// per-partition `costs` (the parallel engine's [cost model]; pass
-/// step-count costs when no profile exists). Deterministic: ties prefer
-/// the heaviest predecessor's worker, then the lowest worker index.
+/// Synthesizes the static dataflow schedule for `threads` workers
+/// (capped at one per partition): earliest-finish-time list scheduling
+/// over the dependence graph in schedule order, using the per-partition
+/// `costs` (the parallel engine's [cost model]; pass step-count costs
+/// when no profile exists). Whether fanning out pays at all is the
+/// runtime's decision ([`FANOUT_CROSSOVER_OPS`]), not the synthesis's.
+/// Deterministic: ties prefer the heaviest predecessor's worker, then
+/// the lowest worker index.
 ///
 /// [cost model]: CcssPlan
 pub fn synthesize_dataflow(
@@ -268,14 +286,7 @@ pub fn synthesize_dataflow(
     threads: usize,
 ) -> DataflowSchedule {
     let np = plan.partitions.len();
-    let total: u64 = (0..np)
-        .map(|p| costs.get(p).copied().unwrap_or(1).max(1))
-        .sum();
-    let nworkers = if threads <= 1 || total < SERIAL_FLOOR {
-        1
-    } else {
-        threads.min(np.max(1))
-    };
+    let nworkers = threads.clamp(1, np.max(1));
 
     // --- Earliest-finish-time placement, schedule order ---------------
     let mut worker_of = vec![0u32; np];
@@ -450,8 +461,7 @@ mod tests {
         let plan = CcssPlan::build(&n, 1);
         let g = DepGraph::derive(&n, &plan);
         let costs = vec![1u64; plan.partitions.len()];
-        // Tiny total cost collapses to one worker even at 4 threads.
-        let ds = synthesize_dataflow(&plan, &g, &costs, 4);
+        let ds = synthesize_dataflow(&plan, &g, &costs, 1);
         assert_eq!(ds.worker_count(), 1);
         assert!(ds.waits_same.iter().all(Vec::is_empty));
         assert!(ds.waits_prev.iter().all(Vec::is_empty));

@@ -161,13 +161,6 @@ pub mod codes {
     /// endpoint, a size-cap overflow, an illegal (cycle-inducing) pair,
     /// or a final assignment that the audited merge log cannot reproduce.
     pub const ACTIVITY_SIDE_CONDITION: DiagCode = DiagCode::new("F0401", "activity-side-condition");
-    /// The per-level thread bins are not an exact cover of the schedule:
-    /// a partition is missing, duplicated, or binned at the wrong level.
-    pub const BIN_COVER: DiagCode = DiagCode::new("F0402", "bin-cover");
-    /// The scheduler's cost table is malformed: wrong cardinality or a
-    /// non-positive entry (every partition must carry positive cost or
-    /// LPT packing degenerates).
-    pub const COST_RANGE: DiagCode = DiagCode::new("F0403", "cost-range");
 
     // --- R: footprint / race-freedom invariants ----------------------------
     /// The read/write footprint derived from a partition's generic

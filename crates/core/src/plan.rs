@@ -175,11 +175,6 @@ pub struct CcssPlan {
     /// verifier ([`CcssPlan::attach_may_overlap`]); `None` until an
     /// analysis has run.
     pub may_overlap: Option<MayOverlap>,
-    /// Static dataflow (BSP) schedule attached by
-    /// [`CcssPlan::attach_dataflow`] after
-    /// [`synthesize_dataflow`](crate::depgraph::synthesize_dataflow);
-    /// `None` until a synthesis has run.
-    pub dataflow: Option<crate::depgraph::DataflowSchedule>,
 }
 
 impl CcssPlan {
@@ -454,7 +449,6 @@ impl CcssPlan {
             reg_plans,
             mem_write_plans,
             may_overlap: None,
-            dataflow: None,
         }
     }
 
@@ -463,12 +457,6 @@ impl CcssPlan {
     /// without re-running the analysis.
     pub fn attach_may_overlap(&mut self, matrix: MayOverlap) {
         self.may_overlap = Some(matrix);
-    }
-
-    /// Stores a synthesized dataflow schedule in the plan for the
-    /// `par_dataflow` runtime to consume.
-    pub fn attach_dataflow(&mut self, sched: crate::depgraph::DataflowSchedule) {
-        self.dataflow = Some(sched);
     }
 
     /// Number of partitions in the schedule.
@@ -651,8 +639,8 @@ pub fn extended_dag(netlist: &Netlist) -> (DagView, Vec<(MemId, usize)>) {
 /// schedule order) plus elision ordering (reader -> writer), and a
 /// partition's level is one past its deepest predecessor.
 ///
-/// Shared by the parallel runtime's level sweep and LPT packer;
-/// `essent-verify` keeps an *independent* re-derivation
+/// The parallel engine reports its length as the critical path of a
+/// cycle (`ParEssentSim::level_count`); `essent-verify` keeps an *independent* re-derivation
 /// (`footprint::derive_levels`) per the layer discipline.
 pub fn plan_levels(plan: &CcssPlan) -> Vec<Vec<u32>> {
     let np = plan.partitions.len();

@@ -55,22 +55,6 @@ pub struct EngineConfig {
     /// skips, wake-cause attribution, sampled eval time. Off by default;
     /// the disabled cost is zero (the probe calls monomorphize away).
     pub profile: bool,
-    /// Parallel engine only: pack each dependency level into per-thread
-    /// bins by estimated partition cost (LPT — longest processing time
-    /// first), with a serial fallback for levels too light to amortize a
-    /// barrier. When `false` the engine uses the original uniform level
-    /// sweep (dynamic work-stealing over an atomic cursor).
-    pub par_lpt: bool,
-    /// Parallel engine only: replace the level-barrier sweep with the
-    /// statically synthesized dataflow (BSP) schedule — compile-time
-    /// partition→worker assignment, per-edge waits on per-partition
-    /// `done` cycle counters instead of global barriers, and
-    /// cycle-boundary overlap for partitions the dependence analysis
-    /// proves independent of the serial phase
-    /// ([`essent_core::depgraph`]). Takes precedence over `par_lpt`.
-    /// Independently verified by `essent-verify`'s seventh layer
-    /// (`S06xx`).
-    pub par_dataflow: bool,
     /// Compile hot partitions' tier-1 programs to native machine code
     /// ([`crate::jit`]): partitions whose estimated eval cost clears
     /// [`crate::jit::JIT_MIN_COST`] run an emitted x86-64/aarch64 body
@@ -82,9 +66,13 @@ pub struct EngineConfig {
     /// Used by the ESSENT and parallel engines.
     pub jit: bool,
     /// Parallel engine only: shadow-memory race sanitizer — tag every
-    /// arena word with its last writer/reader partition during parallel
-    /// evaluation and panic on any same-level cross-partition conflict,
-    /// the dynamic oracle for the static footprint proof (`R05xx`).
+    /// arena word with its last writer/reader partition during
+    /// fanned-out evaluation and panic on any same-cycle cross-partition
+    /// conflict the dataflow schedule does not order, the dynamic oracle
+    /// for the static footprint and dependence proofs (`R05xx`,
+    /// `S06xx`). A run that stays on one worker records nothing (it has
+    /// no concurrency to check); tests force fan-out with
+    /// [`ParEssentSim::force_fanout`](crate::ParEssentSim::force_fanout).
     /// Only effective when `essent-sim` is compiled with the
     /// `race-sanitizer` cargo feature; a no-op (and zero-cost) otherwise.
     pub race_sanitizer: bool,
@@ -111,8 +99,6 @@ impl Default for EngineConfig {
             tier1: true,
             fuse_triggers: true,
             profile: false,
-            par_lpt: true,
-            par_dataflow: false,
             jit: false,
             race_sanitizer: false,
             lanes: 1,
@@ -136,8 +122,6 @@ impl EngineConfig {
             tier1: false,
             fuse_triggers: false,
             profile: false,
-            par_lpt: false,
-            par_dataflow: false,
             jit: false,
             race_sanitizer: false,
             lanes: 1,

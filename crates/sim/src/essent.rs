@@ -595,35 +595,17 @@ impl EssentSim {
         };
 
         if push {
-            // Chunked idle scan: with the paper's low activity factors
-            // most flags are clear most cycles, so the sweep tests eight
-            // flag bytes with one word load and skips whole idle runs.
-            // A non-zero chunk falls back to the per-partition walk,
-            // re-reading each flag at arrival — an earlier partition in
-            // the same chunk may wake a later one mid-scan.
-            let bytes = flags.as_ptr().cast::<u8>();
-            let mut sched = 0;
-            while sched < np {
-                if np - sched >= 8 {
-                    // SAFETY: `sched + 8 <= np` in-bounds flag cells;
-                    // `Cell<bool>` is a single byte (0 or 1) and no other
-                    // thread exists, so an unaligned 8-byte read observes
-                    // exactly the eight flags as currently set.
-                    let word = unsafe { bytes.add(sched).cast::<u64>().read_unaligned() };
-                    if word == 0 {
-                        for i in 0..8 {
-                            prof.unit_skip(sched + i);
-                        }
-                        sched += 8;
-                        continue;
-                    }
-                }
-                let lanes = (np - sched).min(8);
-                for _ in 0..lanes {
-                    run_part(sched, prof);
-                    sched += 1;
-                }
-            }
+            // SAFETY: `np` in-bounds flag cells; `Cell<bool>` is one
+            // byte (0 or 1) and no other thread exists.
+            unsafe {
+                scan_flags(
+                    flags.as_ptr().cast::<u8>(),
+                    np,
+                    prof,
+                    |prof, s| (s..s + 8).for_each(|p| prof.unit_skip(p)),
+                    |prof, s| run_part(s, prof),
+                )
+            };
         } else {
             for sched in 0..np {
                 run_part(sched, prof);
@@ -658,6 +640,47 @@ impl EssentSim {
         }
         machine.cycle += 1;
         machine.counters.cycles += 1;
+    }
+}
+
+/// Chunked idle scan over one-byte activity flags, shared by the
+/// sequential engine and the parallel engine's one-worker sweep. With
+/// the paper's low activity factors most flags are clear most cycles,
+/// so the sweep tests eight flag bytes with one word load and hands a
+/// whole idle run to `idle8` (called with the run's first index).
+/// A non-zero chunk falls back to `visit` per partition, in schedule
+/// order, which must re-read the flag at arrival — an earlier partition
+/// in the same chunk may wake a later one mid-scan.
+///
+/// # Safety
+///
+/// `flags` must point to `np` readable flag bytes, each 0 or 1, that
+/// no other thread writes during the scan (so an unaligned 8-byte read
+/// observes exactly the eight flags as currently set).
+#[inline(always)]
+pub(crate) unsafe fn scan_flags<C: ?Sized>(
+    flags: *const u8,
+    np: usize,
+    ctx: &mut C,
+    mut idle8: impl FnMut(&mut C, usize),
+    mut visit: impl FnMut(&mut C, usize),
+) {
+    let mut sched = 0;
+    while sched < np {
+        if np - sched >= 8 {
+            // SAFETY: `sched + 8 <= np` in-bounds flag bytes, not written
+            // concurrently (caller's contract).
+            let word = unsafe { flags.add(sched).cast::<u64>().read_unaligned() };
+            if word == 0 {
+                idle8(ctx, sched);
+                sched += 8;
+                continue;
+            }
+        }
+        for _ in 0..(np - sched).min(8) {
+            visit(ctx, sched);
+            sched += 1;
+        }
     }
 }
 

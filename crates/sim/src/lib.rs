@@ -81,5 +81,5 @@ pub use essent::EssentSim;
 pub use event::EventDrivenSim;
 pub use full_cycle::FullCycleSim;
 pub use machine::WorkCounters;
-pub use par::{plan_levels, CostModel, LevelPlan, LevelSchedule, ParEssentSim};
+pub use par::{plan_levels, CostModel, ParEssentSim};
 pub use profile::{activity_prior, ProfileReport, ProfileWiring};

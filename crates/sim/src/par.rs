@@ -1,85 +1,98 @@
-//! A parallel CCSS engine: partition-level parallelism over the acyclic
-//! schedule.
+//! A parallel CCSS engine that fans out only when measured activity
+//! pays for it.
 //!
 //! The acyclic partitioning that makes singular *sequential* schedules
-//! possible also exposes parallelism — partitions at the same dependency
-//! depth touch disjoint output slots and can evaluate concurrently. This
-//! engine levelizes the partition DAG (including the elision ordering
-//! edges) and sweeps it level by level with a worker pool; activation
-//! flags become atomics, so the conditional-execution benefit of CCSS is
-//! preserved: an inactive partition costs one relaxed atomic load.
+//! possible also exposes parallelism: the dependence analysis in
+//! [`essent_core::depgraph`] synthesizes a static **dataflow** schedule
+//! — compile-time partition→worker assignment, per-edge waits on
+//! per-partition `done` cycle counters instead of global barriers, and
+//! cycle-boundary overlap for partitions proved independent of the
+//! serial phase. That is this engine's one N-worker schedule.
 //!
-//! This is the direction of the follow-on research building on ESSENT
-//! (thread-parallel simulation over replication-free partitionings); it
-//! is not part of the DAC 2020 evaluation and is benchmarked separately.
+//! Fanning out has a fixed per-cycle price (the `done` publications and
+//! cross-worker handoffs), and at the paper's low activity factors a
+//! cycle holds far less work than that price: on r18 running a pointer
+//! chase, about 140 ops per cycle against 2121 partition flags. So the
+//! engine decides at every [`step`](Simulator::step) call from its own
+//! counters: when the previous call's mean evaluated ops per cycle
+//! reached [`FANOUT_CROSSOVER_OPS`] it runs the N-worker schedule;
+//! otherwise it runs the one-worker sweep on the calling thread, with
+//! no threads spawned and the sequential engine's chunked idle-flag
+//! scan. The engine's first cycle (every flag starts set) never counts
+//! toward the measurement, and calls shorter than 64 cycles never fan
+//! out. The decision is a pure function of the counters, so runs stay
+//! reproducible. The dependence graph and the N-worker schedule are
+//! built on the first fan-out only. Both paths evaluate exactly the
+//! same partitions, so outputs and
+//! [`WorkCounters`](crate::WorkCounters) do not depend on the path.
 //!
 //! Memory-write elision is disabled here (concurrent in-partition writes
 //! to a shared bank would race — see [`PlanOptions::elide_mem`]); register
 //! elision is kept, since each register is written by exactly one
-//! partition into a private slot and all readers are at strictly earlier
-//! levels.
+//! partition into a private slot and the schedule orders every reader
+//! before the in-place commit.
 //!
-//! Level barriers cost microseconds, so speedups appear only on designs
-//! wide enough to fill each level with real work; tiny designs are slower
-//! than [`EssentSim`](crate::EssentSim) — measure before adopting.
-//!
-//! # Cost-model level scheduling
-//!
-//! With [`EngineConfig::par_lpt`] (the default) the uniform level sweep
-//! is replaced by a static **LPT bin-packing** schedule: each level's
-//! partitions are packed into per-thread bins, heaviest first onto the
-//! least-loaded bin, using a per-partition [`CostModel`] — profiled mean
-//! eval ticks when an [`ActivityPrior`] is supplied
-//! ([`ParEssentSim::new_with_prior`]), static single-word step counts
-//! otherwise. Levels whose total cost cannot amortize a barrier run
-//! *serially* on the main thread with no barrier round-trip at all. The
-//! resulting [`LevelSchedule`] is a pure function of (levels, costs,
-//! threads) and is independently audited by `essent-verify`
-//! (F0402/F0403).
+//! This is the direction of the follow-on research building on ESSENT
+//! (thread-parallel simulation over replication-free partitionings); it
+//! is not part of the DAC 2020 evaluation and is benchmarked separately
+//! (the `bsp` bench bin; DESIGN.md §12 records the crossover).
 
 use crate::compile::{compile_plan, Block, Item};
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
+use crate::essent::scan_flags;
 use crate::jit;
-use crate::machine::{self, Machine};
+use crate::machine::{self, Machine, MemBank};
 use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
 use crate::step1::{
     lower_tier1, run_tier1_raw, AtomicFlags, OutSpec, ProfAtomicFlags, Tier1Program,
 };
 use essent_bits::Bits;
-use essent_core::depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
+use essent_core::depgraph::{
+    synthesize_dataflow, DataflowSchedule, DepGraph, FANOUT_CROSSOVER_OPS,
+};
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
 use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_netlist::{Netlist, SignalDef, SignalId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
-// The runtime's level derivation lives in `essent_core::plan` (shared
-// with the LPT packer and the bench tooling); re-exported so existing
-// `essent_sim::par::plan_levels` users keep working. `essent-verify`
-// keeps its own independent re-derivation.
+// The level derivation lives in `essent_core::plan` (shared with the
+// bench tooling); re-exported so existing `essent_sim::par::plan_levels`
+// users keep working. `essent-verify` keeps its own independent
+// re-derivation.
 pub use essent_core::plan::plan_levels;
 
-/// Per-partition cost estimates feeding the LPT packer, plus the
-/// threshold below which a level is not worth a barrier round-trip.
+/// `step` calls shorter than this never fan out, and a measurement
+/// window shorter than this never justifies fanning out: spawning the
+/// workers costs tens of microseconds, which only a run of many cycles
+/// pays back, and a mean over a few cycles says little about the next
+/// call (the reset `step(2)` of every workload is such a call).
+const FANOUT_MIN_CYCLES: u64 = 64;
+
+/// The fan-out decision for one `step(n)` call: a pure function of the
+/// worker budget, the call length, and the `(ops, cycles)` the previous
+/// call evaluated (the engine's first cycle excluded).
+fn fans_out(threads: usize, n: u64, window: (u64, u64)) -> bool {
+    let (ops, cycles) = window;
+    threads > 1
+        && n >= FANOUT_MIN_CYCLES
+        && cycles >= FANOUT_MIN_CYCLES
+        && ops >= FANOUT_CROSSOVER_OPS.saturating_mul(cycles)
+}
+
+/// Per-partition cost estimates: they weigh the dataflow schedule's
+/// earliest-finish-time placement and the JIT's selection threshold.
 ///
 /// Units are *approximately nanoseconds per simulated cycle*: measured
 /// priors record expected eval time per cycle, and the static fallback
-/// counts single-word steps (~1 ns each). The unit only weighs bins
-/// against each other and against `serial_floor`, so the approximation
-/// is harmless.
+/// counts single-word steps (~1 ns each). The unit only weighs
+/// partitions against each other, so the approximation is harmless.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Estimated cost per scheduled partition (always ≥ 1).
     pub costs: Vec<u64>,
-    /// Levels with total cost below this run serially on the main
-    /// thread.
-    pub serial_floor: u64,
 }
-
-/// A level's total work must be worth roughly a barrier wake-up
-/// (single-digit microseconds) before fanning out pays.
-const SERIAL_FLOOR: u64 = 3000;
 
 impl CostModel {
     /// Builds the cost table for a plan: measured per-cycle eval cost
@@ -108,68 +121,7 @@ impl CostModel {
                 cost.max(1)
             })
             .collect();
-        CostModel {
-            costs,
-            serial_floor: SERIAL_FLOOR,
-        }
-    }
-}
-
-/// One dependency level's execution shape.
-#[derive(Debug, Clone)]
-pub struct LevelPlan {
-    /// Run on the main thread without a barrier round-trip (`bins` then
-    /// holds exactly one bin).
-    pub serial: bool,
-    /// Per-worker partition lists; worker `t` evaluates `bins[t]`.
-    /// Workers beyond `bins.len()` idle at the barrier for this level.
-    pub bins: Vec<Vec<u32>>,
-}
-
-/// The full static level schedule: an exact cover of the scheduled
-/// partitions, level-faithful, built by LPT packing over a [`CostModel`].
-#[derive(Debug, Clone)]
-pub struct LevelSchedule {
-    pub levels: Vec<LevelPlan>,
-}
-
-impl LevelSchedule {
-    /// Packs each level's partitions into at most `threads` bins:
-    /// heaviest partition first, each onto the currently least-loaded
-    /// bin (ties to the lowest bin index; cost ties broken by schedule
-    /// index — the build is deterministic). Levels below the cost
-    /// model's serial floor, or with nothing to share, fall back to one
-    /// serial bin.
-    pub fn build(levels: &[Vec<u32>], cost: &CostModel, threads: usize) -> LevelSchedule {
-        let levels = levels
-            .iter()
-            .map(|level| {
-                let total: u64 = level.iter().map(|&s| cost.costs[s as usize]).sum();
-                let nbins = threads.min(level.len()).max(1);
-                if nbins < 2 || total < cost.serial_floor {
-                    return LevelPlan {
-                        serial: true,
-                        bins: vec![level.clone()],
-                    };
-                }
-                let mut order = level.clone();
-                order.sort_by_key(|&s| (std::cmp::Reverse(cost.costs[s as usize]), s));
-                let mut bins = vec![Vec::new(); nbins];
-                let mut load = vec![0u64; nbins];
-                for s in order {
-                    let t = (0..nbins)
-                        .min_by_key(|&t| (load[t], t))
-                        .expect("nbins >= 1");
-                    load[t] += cost.costs[s as usize];
-                    bins[t].push(s);
-                }
-                LevelPlan {
-                    serial: false,
-                    bins,
-                }
-            })
-            .collect();
-        LevelSchedule { levels }
+        CostModel { costs }
     }
 }
 
@@ -179,8 +131,8 @@ impl LevelSchedule {
 struct ArenaPtr(*mut u64);
 // SAFETY: workers only touch disjoint slots while running concurrently
 // (each signal is written by exactly one partition; reads target
-// finished producers or state), enforced by the level barriers or the
-// dataflow wait protocol and proven statically by the `essent-verify`
+// finished producers or state), enforced by schedule order on one
+// worker and by the dataflow wait protocol on several, and proven statically by the `essent-verify`
 // footprint layer (R0502/R0503) and dependence-cover layer (S0601).
 unsafe impl Send for ArenaPtr {}
 // SAFETY: same disjointness discipline as the `Send` impl above —
@@ -198,19 +150,33 @@ impl ArenaPtr {
 }
 
 /// Shared memory-bank pointer for the worker closures.
-struct MemsPtr(*mut crate::machine::MemBank, usize);
+struct MemsPtr(*mut MemBank, usize);
 // SAFETY: workers only *read* the banks during partition evaluation;
 // the banks are written exclusively in the serial phase, which runs
-// while workers are parked at the cycle barrier (level sweep) or —
-// under the dataflow schedule — concurrently only with partitions whose
-// exemption proof includes bank-read disjointness (S0602).
+// concurrently only with partitions whose exemption proof includes
+// bank-read disjointness (S0602).
 unsafe impl Send for MemsPtr {}
 // SAFETY: same read-only-during-evaluation discipline as `Send`.
 unsafe impl Sync for MemsPtr {}
 impl MemsPtr {
     #[inline]
-    fn get(&self) -> (*mut crate::machine::MemBank, usize) {
+    fn get(&self) -> (*mut MemBank, usize) {
         (self.0, self.1)
+    }
+
+    /// The banks as a shared slice.
+    ///
+    /// # Safety
+    ///
+    /// No bank may be written while the slice is alive, except by the
+    /// serial phase concurrently with partitions that read no written
+    /// bank (S0602).
+    #[inline]
+    unsafe fn banks<'a>(&self) -> &'a [MemBank] {
+        // SAFETY: the pointer and length come from the machine's bank
+        // vector, which outlives every run (caller's contract covers
+        // aliasing).
+        unsafe { std::slice::from_raw_parts(self.0, self.1) }
     }
 }
 
@@ -241,6 +207,17 @@ struct PartTriggers {
     regs: Vec<(u32, u32, u16, u32, Vec<u32>)>,
 }
 
+/// The N-worker side of the engine, built on the first fan-out.
+struct FanOut {
+    /// The synthesized dataflow schedule.
+    sched: DataflowSchedule,
+    /// Per-partition arena offsets of the stop-condition bits the
+    /// partition computes: after evaluating, the owner probes these and
+    /// publishes an early halt bound so speculative next-cycle work
+    /// never outruns a firing `stop`.
+    stop_probe: Vec<Vec<u32>>,
+}
+
 /// Thread-parallel CCSS simulator.
 pub struct ParEssentSim {
     machine: Machine,
@@ -254,34 +231,36 @@ pub struct ParEssentSim {
     /// [`jit::JIT_MIN_COST`] and whose program was eligible.
     jit: Option<jit::JitParts>,
     flags: Vec<AtomicBool>,
-    /// Scheduled partition indices grouped by dependency level.
-    levels: Vec<Vec<u32>>,
-    /// Static per-thread bin schedule ([`EngineConfig::par_lpt`]).
-    sched: LevelSchedule,
-    /// Use `sched` (LPT bins + serial fallback) instead of the dynamic
-    /// cursor sweep over `levels`.
-    lpt: bool,
-    /// Statically synthesized dataflow schedule
-    /// ([`EngineConfig::par_dataflow`]); when present the engine runs
-    /// [`ParEssentSim::run_cycles_dataflow`] instead of the level sweep.
-    dsched: Option<DataflowSchedule>,
-    /// Per-partition arena offsets of the stop-condition bits the
-    /// partition computes (dataflow mode): after evaluating, the owner
-    /// probes these and publishes an early halt bound so speculative
-    /// next-cycle work never outruns a firing `stop`.
-    stop_probe: Vec<Vec<u32>>,
+    /// Per-partition [`CostModel`] estimates, kept for the lazily
+    /// synthesized N-worker schedule.
+    costs: Vec<u64>,
+    /// `None` until the first fanned-out call.
+    fanout: Option<FanOut>,
+    /// Testing hook ([`ParEssentSim::force_fanout`]): every call fans out.
+    force_fanout: bool,
+    /// `(ops, cycles)` the previous `step` call evaluated, the engine's
+    /// first cycle excluded: what the next call's decision reads.
+    window: (u64, u64),
+    /// Cycles run on an N-worker schedule.
+    fanout_cycles: u64,
     part_triggers: Vec<PartTriggers>,
     /// Per-partition private snapshot storage, indexed by the offsets in
     /// `part_triggers[p].outs`.
     old_vals: Vec<u64>,
     input_wake: HashMap<SignalId, Vec<u32>>,
     commit_regs: Vec<usize>,
+    /// Per memory, per write port: its `mem_write_plans` index.
+    mem_write_plan: Vec<Vec<Option<usize>>>,
     threads: usize,
     /// Telemetry counters ([`EngineConfig::profile`]); atomic because
     /// workers update them concurrently through `&self`.
     profile: Option<Box<AtomicProfile>>,
-    /// Shadow memory for the dynamic race oracle
-    /// ([`EngineConfig::race_sanitizer`]).
+    /// [`EngineConfig::race_sanitizer`]: fanned-out runs record every
+    /// arena access into `shadow`.
+    #[cfg(feature = "race-sanitizer")]
+    sanitize: bool,
+    /// Shadow memory for the dynamic race oracle, built with the
+    /// N-worker schedule (it needs the schedule's ordering edges).
     #[cfg(feature = "race-sanitizer")]
     shadow: Option<Box<crate::sanitizer::ShadowMem>>,
 }
@@ -294,8 +273,9 @@ impl ParEssentSim {
     }
 
     /// [`ParEssentSim::new`] with a measured activity prior: the
-    /// partitioning gains the profile-guided merge phase and the LPT
-    /// bins pack by measured cost instead of static step counts.
+    /// partitioning gains the profile-guided merge phase and the cost
+    /// model weighs partitions by measured cost instead of static step
+    /// counts.
     pub fn new_with_prior(
         netlist: &Netlist,
         config: &EngineConfig,
@@ -370,7 +350,6 @@ impl ParEssentSim {
         });
 
         let np = plan.partitions.len();
-        let levels = plan_levels(&plan);
 
         // Flattened per-partition trigger + elided-register tables,
         // covering only the outputs the tier did not fuse.
@@ -428,6 +407,14 @@ impl ParEssentSim {
             .filter(|(_, r)| !r.elided)
             .map(|(i, _)| i)
             .collect();
+        let mut mem_write_plan: Vec<Vec<Option<usize>>> = netlist
+            .mems()
+            .iter()
+            .map(|m| vec![None; m.writers.len()])
+            .collect();
+        for (wi, wp) in plan.mem_write_plans.iter().enumerate() {
+            mem_write_plan[wp.mem.index()][wp.writer] = Some(wi);
+        }
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -435,8 +422,7 @@ impl ParEssentSim {
         } else {
             threads
         };
-        let cost = CostModel::build(&plan, &blocks, prior);
-        let sched = LevelSchedule::build(&levels, &cost, threads);
+        let costs = CostModel::build(&plan, &blocks, prior).costs;
 
         // Native tier (`config.jit`): compile partitions whose cost
         // estimate clears the threshold. Skipped when profiling (wake
@@ -450,53 +436,13 @@ impl ParEssentSim {
         .then(|| {
             programs
                 .as_ref()
-                .map(|progs| jit::JitParts::build(progs, &cost.costs, &machine.mems))
+                .map(|progs| jit::JitParts::build(progs, &costs, &machine.mems))
         })
         .flatten();
-
-        // Dataflow mode: derive the dependence graph, synthesize the
-        // static worker schedule, and build the stop-probe table.
-        let graph_and_sched = config.par_dataflow.then(|| {
-            let graph = DepGraph::derive(&netlist, &plan);
-            let ds = synthesize_dataflow(&plan, &graph, &cost.costs, threads);
-            (graph, ds)
-        });
-        let mut stop_probe = vec![Vec::new(); np];
-        if graph_and_sched.is_some() {
-            for st in netlist.stops() {
-                if matches!(
-                    netlist.signal(st.en).def,
-                    SignalDef::Op(_) | SignalDef::MemRead { .. }
-                ) {
-                    let owner = plan.sched_of_signal[st.en.index()] as usize;
-                    stop_probe[owner].push(machine.layout.offset(st.en) as u32);
-                }
-            }
-        }
-        // The sanitizer's dataflow mode needs the schedule's same-cycle
-        // ordering relation to tell legal handoffs from races.
-        #[cfg(feature = "race-sanitizer")]
-        let sanitizer_edges: Option<std::collections::HashSet<u64>> =
-            graph_and_sched.as_ref().map(|(graph, _)| {
-                let mut edges = std::collections::HashSet::new();
-                for (p, preds) in graph.preds.iter().enumerate() {
-                    for &q in preds {
-                        edges.insert(((q as u64) << 32) | p as u64);
-                    }
-                }
-                edges
-            });
-        let dsched = graph_and_sched.map(|(_, ds)| ds);
-        let mut plan = plan;
-        if let Some(ds) = &dsched {
-            plan.attach_dataflow(ds.clone());
-        }
 
         let profile = config
             .profile
             .then(|| Box::new(AtomicProfile::new(ProfileWiring::for_plan(&netlist, &plan))));
-        #[cfg(feature = "race-sanitizer")]
-        let total_words = machine.layout.total_words();
         ParEssentSim {
             machine,
             plan,
@@ -504,30 +450,29 @@ impl ParEssentSim {
             programs,
             jit,
             flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
-            levels,
-            sched,
-            lpt: config.par_lpt,
-            dsched,
-            stop_probe,
+            costs,
+            fanout: None,
+            force_fanout: false,
+            window: (0, 0),
+            fanout_cycles: 0,
             part_triggers,
             old_vals,
             input_wake,
             commit_regs,
+            mem_write_plan,
             threads,
             profile,
             #[cfg(feature = "race-sanitizer")]
-            shadow: config.race_sanitizer.then(|| {
-                Box::new(crate::sanitizer::ShadowMem::new_with_edges(
-                    total_words,
-                    sanitizer_edges,
-                ))
-            }),
+            sanitize: config.race_sanitizer,
+            #[cfg(feature = "race-sanitizer")]
+            shadow: None,
         }
     }
 
-    /// Number of dependency levels in the parallel schedule.
+    /// Number of dependency levels in the plan (the critical path, in
+    /// partitions, of one cycle).
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        plan_levels(&self.plan).len()
     }
 
     /// Borrow of the underlying machine (testing, activity profiling).
@@ -544,6 +489,23 @@ impl ParEssentSim {
     /// (0 when the JIT is off or unsupported on this target).
     pub fn jit_compiled_count(&self) -> usize {
         self.jit.as_ref().map_or(0, |j| j.compiled_count())
+    }
+
+    /// Number of cycles run on the N-worker schedule (0 while every call
+    /// stayed below the fan-out crossover).
+    pub fn fanout_cycles(&self) -> u64 {
+        self.fanout_cycles
+    }
+
+    /// Testing hook: makes every later `step` call run the N-worker
+    /// schedule whatever the measured activity, so tests and the race
+    /// sanitizer cover the concurrent path on any design. Returns the
+    /// schedule's worker count (1 when `threads` or the partition count
+    /// leaves nothing to share; such a schedule runs on the calling
+    /// thread).
+    pub fn force_fanout(&mut self) -> usize {
+        self.force_fanout = true;
+        self.fanout().sched.worker_count()
     }
 
     /// Discards the compiled body for one partition, forcing it back to
@@ -582,21 +544,67 @@ impl ParEssentSim {
         self.jit.as_ref()
     }
 
+    /// The N-worker dataflow schedule; `None` until the engine first
+    /// fanned out (or [`ParEssentSim::force_fanout`] built it).
+    pub fn dataflow_schedule(&self) -> Option<&DataflowSchedule> {
+        self.fanout.as_ref().map(|f| &f.sched)
+    }
+
+    /// The N-worker side, built on first use: the dependence graph, the
+    /// synthesized schedule, its stop probes and (under the race
+    /// sanitizer) the shadow memory with the schedule's ordering edges.
+    fn fanout(&mut self) -> &FanOut {
+        if self.fanout.is_none() {
+            let netlist = &self.machine.netlist;
+            let graph = DepGraph::derive(netlist, &self.plan);
+            let sched = synthesize_dataflow(&self.plan, &graph, &self.costs, self.threads);
+            let mut stop_probe = vec![Vec::new(); self.plan.partitions.len()];
+            for st in netlist.stops() {
+                if matches!(
+                    netlist.signal(st.en).def,
+                    SignalDef::Op(_) | SignalDef::MemRead { .. }
+                ) {
+                    let owner = self.plan.sched_of_signal[st.en.index()] as usize;
+                    stop_probe[owner].push(self.machine.layout.offset(st.en) as u32);
+                }
+            }
+            // The sanitizer needs the schedule's same-cycle ordering
+            // relation to tell legal handoffs from races.
+            #[cfg(feature = "race-sanitizer")]
+            if self.sanitize {
+                let edges = graph
+                    .preds
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(p, preds)| {
+                        preds.iter().map(move |&q| ((q as u64) << 32) | p as u64)
+                    })
+                    .collect();
+                self.shadow = Some(Box::new(crate::sanitizer::ShadowMem::new(
+                    self.machine.layout.total_words(),
+                    edges,
+                )));
+            }
+            self.fanout = Some(FanOut { sched, stop_probe });
+        }
+        self.fanout.as_ref().expect("built above")
+    }
+
     /// Worker routine: evaluate one partition (flag already claimed).
     ///
     /// # Safety
     ///
-    /// Caller must guarantee level-disjointness: no partition
-    /// co-scheduled with `sched` in the current dependency level may
-    /// write any arena word this partition reads or writes. That is
-    /// exactly the property `essent-verify`'s footprint layer proves
-    /// statically per design (`R0501`–`R0504`), and that the
+    /// Caller must guarantee that no partition evaluating concurrently
+    /// with `sched` writes any arena word this partition reads or
+    /// writes: trivially on one worker, and on several by the dataflow
+    /// waits, which `essent-verify` proves cover every footprint
+    /// overlap (`R0501`–`R0504`, `S0601`–`S0604`) and the
     /// `race-sanitizer` feature checks dynamically.
     unsafe fn eval_partition(
         &self,
         sched: usize,
         arena: ArenaPtr,
-        mems: &[crate::machine::MemBank],
+        mems: &[MemBank],
         old_vals: *mut u64,
         ops: &mut u64,
         prof: Option<&AtomicProfile>,
@@ -733,34 +741,66 @@ impl ParEssentSim {
         }
     }
 
+    /// Claims partition `p`'s activity flag and evaluates it, or books
+    /// a skip. The relaxed load before the claiming RMW makes an idle
+    /// partition cost one load: only the partition's own worker clears
+    /// its flag, so the load cannot miss a wake ordered before this
+    /// visit (by list order on one worker, by the wait edges on several
+    /// — producer wakes precede their `done` stores, serial wakes
+    /// precede `serial_done`, and the serial phase never wakes an
+    /// exempt partition, S0602).
+    ///
+    /// # Safety
+    ///
+    /// As [`ParEssentSim::eval_partition`].
+    #[inline(always)]
+    unsafe fn claim_and_eval(
+        &self,
+        p: usize,
+        tid: usize,
+        arena: ArenaPtr,
+        banks: &[MemBank],
+        old_vals: *mut u64,
+        ops: &mut u64,
+    ) {
+        if self.flags[p].load(Ordering::Relaxed) && self.flags[p].swap(false, Ordering::Relaxed) {
+            match self.profile.as_deref() {
+                Some(prof) => {
+                    let t0 = prof.eval_begin(p);
+                    let mut part_ops = 0u64;
+                    // SAFETY: caller's contract.
+                    unsafe {
+                        self.eval_partition(p, arena, banks, old_vals, &mut part_ops, Some(prof))
+                    };
+                    prof.eval_end_on(p, tid as u32, t0, part_ops);
+                    *ops += part_ops;
+                }
+                // SAFETY: caller's contract.
+                None => unsafe { self.eval_partition(p, arena, banks, old_vals, ops, None) },
+            }
+        } else if let Some(prof) = self.profile.as_deref() {
+            prof.unit_skip(p);
+        }
+    }
+
     /// End-of-cycle serial phase: printf/stop sampling, memory writes,
     /// and non-elided register commits, with their wake flags.
     ///
     /// # Safety
     ///
     /// No concurrently running partition evaluation may touch any arena
-    /// word or memory bank this phase accesses. The level engine parks
-    /// every worker at the cycle barrier; the dataflow engine lets only
-    /// *exempt* partitions run concurrently, whose footprints the
-    /// dependence analysis proves disjoint from the serial footprint
-    /// (verified as S0602).
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn serial_phase(
-        &self,
-        netlist: &Netlist,
-        layout: &crate::compile::Layout,
-        arena: ArenaPtr,
-        mems: &MemsPtr,
-        capture_printf: bool,
-        halted: &mut Option<u64>,
-        printf_log: &mut Vec<String>,
-        static_checks: &mut u64,
-    ) {
+    /// word or memory bank this phase accesses. On one worker nothing
+    /// runs concurrently; on several, only *exempt* partitions do,
+    /// whose footprints the dependence analysis proves disjoint from
+    /// the serial footprint (verified as S0602).
+    unsafe fn serial_phase(&self, arena: ArenaPtr, mems: &MemsPtr, run: &mut RunTally) {
+        let netlist = &*self.machine.netlist;
+        let layout = &self.machine.layout;
         for p in netlist.printfs() {
             // SAFETY: serial-footprint word (caller's contract), layout
             // offsets in-bounds by construction.
             let en = unsafe { *arena.get().add(layout.offset(p.en)) } & 1 == 1;
-            if en && capture_printf {
+            if en && self.machine.capture_printf {
                 let args: Vec<Bits> = p
                     .args
                     .iter()
@@ -774,44 +814,41 @@ impl ParEssentSim {
                         Bits::from_limbs(slice.to_vec(), netlist.signal(a).width)
                     })
                     .collect();
-                printf_log.push(essent_netlist::interp::format_printf(&p.fmt, &args));
+                run.printf_log
+                    .push(essent_netlist::interp::format_printf(&p.fmt, &args));
             }
         }
         for st in netlist.stops() {
             // SAFETY: serial-footprint word, in-bounds layout offset.
             let en = unsafe { *arena.get().add(layout.offset(st.en)) } & 1 == 1;
-            if en && halted.is_none() {
-                *halted = Some(st.code);
+            if en && run.halted.is_none() {
+                run.halted = Some(st.code);
             }
         }
         // Memory writes (all serial in this engine), then register
         // commits.
-        for m in 0..netlist.mems().len() {
-            for w in 0..netlist.mems()[m].writers.len() {
-                *static_checks += 1;
+        for (m, ports) in self.mem_write_plan.iter().enumerate() {
+            for (w, &wi) in ports.iter().enumerate() {
+                run.static_checks += 1;
                 // SAFETY: the banks are serial-phase-exclusive (caller's
-                // contract: workers parked or bank-disjoint by S0602).
+                // contract: no worker or bank-disjoint ones by S0602).
                 let bank = unsafe { &mut *mems.get().0.add(m) };
                 // SAFETY: serial-footprint words; `m`/`w` index real
                 // mems/writers, layout is in-bounds.
                 let changed =
                     unsafe { machine::run_mem_write_raw(netlist, layout, arena.get(), bank, m, w) };
-                if changed {
-                    for (wi, wp) in self.plan.mem_write_plans.iter().enumerate() {
-                        if wp.mem.index() == m && wp.writer == w {
-                            for &c in &wp.wake_on_change {
-                                self.flags[c as usize].store(true, Ordering::Relaxed);
-                                if let Some(p) = self.profile.as_deref() {
-                                    p.wake_state_mem(wi, c);
-                                }
-                            }
+                if let (true, Some(wi)) = (changed, wi) {
+                    for &c in &self.plan.mem_write_plans[wi].wake_on_change {
+                        self.flags[c as usize].store(true, Ordering::Relaxed);
+                        if let Some(p) = self.profile.as_deref() {
+                            p.wake_state_mem(wi, c);
                         }
                     }
                 }
             }
         }
         for &ri in &self.commit_regs {
-            *static_checks += 1;
+            run.static_checks += 1;
             let reg = &netlist.regs()[ri];
             // SAFETY: `next` and `out` are distinct in-bounds layout
             // ranges in the serial footprint (non-elided registers).
@@ -832,193 +869,66 @@ impl ParEssentSim {
                 }
             }
         }
+        run.ran += 1;
     }
 
-    fn run_cycles(&mut self, n: u64) -> u64 {
-        if self.dsched.is_some() {
-            return self.run_cycles_dataflow(n);
-        }
-        let threads = self.threads;
-        // Raw views of the machine's storage for the scope's duration.
-        // SAFETY invariants (upheld below): within a level, every arena
-        // slot is written by at most one worker (unique partition
-        // membership) and read slots were finalized at earlier levels or
-        // are state; memory banks are only *read* by workers and only
-        // *written* in the serial phase while workers are parked at the
-        // cycle barrier.
+    /// Folds one run's tally back into the machine; returns the cycles
+    /// run.
+    fn finish_run(&mut self, run: RunTally, ops: u64) -> u64 {
+        let m = &mut self.machine;
+        m.counters.ops_evaluated += ops;
+        m.counters.static_checks += run.static_checks;
+        m.counters.cycles += run.ran;
+        m.cycle += run.ran;
+        m.halted = run.halted;
+        m.printf_log.extend(run.printf_log);
+        run.ran
+    }
+
+    /// The one-worker sweep on the calling thread: schedule order alone
+    /// carries every dependence, so no signaling is needed — each cycle
+    /// is a chunked idle scan over the flags, then the serial phase.
+    fn run_collapsed(&mut self, n: u64) -> u64 {
         let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
         let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
-        let old_ptr = OldPtr(self.old_vals.as_mut_ptr());
-
-        let barrier = Barrier::new(threads);
-        let cursor = AtomicUsize::new(0);
-        let level_idx = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let total_ops = AtomicUsize::new(0);
-
-        // Serial-phase state kept in locals (merged back after the scope).
-        let netlist = self.machine.netlist.clone();
-        let layout = self.machine.layout.clone();
-        let capture_printf = self.machine.capture_printf;
-        let mut halted = self.machine.halted;
-        let mut printf_log: Vec<String> = Vec::new();
-        let mut static_checks = 0u64;
-        let mut ran = 0u64;
-
+        let old_vals = self.old_vals.as_mut_ptr();
+        let mut run = RunTally::new(self.machine.halted);
+        let mut ops = 0u64;
         let this = &*self;
-        // Claim-and-evaluate for one scheduled partition; shared by the
-        // parallel workers and the serial-level fast path.
-        let eval_claimed =
-            |sched: usize, tid: usize, banks: &[crate::machine::MemBank], ops: &mut u64| {
-                if this.flags[sched].swap(false, Ordering::Relaxed) {
-                    // Record this thread's arena accesses as `sched` for the
-                    // duration of the evaluation (no-op without the feature).
-                    #[cfg(feature = "race-sanitizer")]
-                    let _sanitizer_scope = this
-                        .shadow
-                        .as_deref()
-                        .map(|s| crate::sanitizer::enter(s, sched as u32));
-                    match this.profile.as_deref() {
-                        Some(p) => {
-                            let t0 = p.eval_begin(sched);
-                            let mut part_ops = 0u64;
-                            // SAFETY: level barriers + disjoint slots.
-                            unsafe {
-                                this.eval_partition(
-                                    sched,
-                                    arena,
-                                    banks,
-                                    old_ptr.get(),
-                                    &mut part_ops,
-                                    Some(p),
-                                )
-                            };
-                            p.eval_end_on(sched, tid as u32, t0, part_ops);
-                            *ops += part_ops;
+        let prof = this.profile.as_deref();
+        // SAFETY: one thread; banks are written only by the serial
+        // phase below, between scans.
+        let banks = unsafe { mems.banks() };
+        while run.ran < n && run.halted.is_none() {
+            if let Some(p) = prof {
+                p.begin_cycle();
+            }
+            // SAFETY: `AtomicBool` is one byte (0 or 1) and no other
+            // thread exists; evaluation in schedule order on one thread
+            // satisfies `claim_and_eval`'s contract.
+            unsafe {
+                scan_flags(
+                    this.flags.as_ptr().cast::<u8>(),
+                    this.flags.len(),
+                    &mut ops,
+                    |_, s| {
+                        if let Some(p) = prof {
+                            (s..s + 8).for_each(|q| p.unit_skip(q));
                         }
-                        // SAFETY: level barriers + disjoint slots.
-                        None => unsafe {
-                            this.eval_partition(sched, arena, banks, old_ptr.get(), ops, None)
-                        },
-                    }
-                } else if let Some(p) = this.profile.as_deref() {
-                    p.unit_skip(sched);
-                }
+                    },
+                    |ops, p| this.claim_and_eval(p, 0, arena, banks, old_vals, ops),
+                )
             };
-        // Declared before the scope so spawned threads can borrow it for
-        // the scope's full lifetime. Worker 0 is the main thread.
-        let worker = |tid: usize| -> u64 {
-            let mut ops = 0u64;
-            loop {
-                barrier.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let lvl = level_idx.load(Ordering::Acquire);
-                let (mptr, mlen) = mems.get();
-                // SAFETY: read-only view; banks are written only while
-                // workers are parked (see above).
-                let banks = unsafe { std::slice::from_raw_parts(mptr, mlen) };
-                if this.lpt {
-                    // Static LPT bins: worker `tid` owns bin `tid`.
-                    if let Some(bin) = this.sched.levels[lvl].bins.get(tid) {
-                        for &s in bin {
-                            eval_claimed(s as usize, tid, banks, &mut ops);
-                        }
-                    }
-                } else {
-                    // Uniform sweep: dynamic work-stealing via the cursor.
-                    let level = &this.levels[lvl];
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= level.len() {
-                            break;
-                        }
-                        eval_claimed(level[i] as usize, tid, banks, &mut ops);
-                    }
-                }
-                barrier.wait();
-                if tid == 0 {
-                    return ops;
-                }
-            }
-            ops
-        };
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = (1..threads)
-                .map(|t| scope.spawn(move || worker(t)))
-                .collect();
-
-            'cycles: for _ in 0..n {
-                if halted.is_some() {
-                    break 'cycles;
-                }
-                if let Some(p) = this.profile.as_deref() {
-                    p.begin_cycle();
-                }
-                for lvl in 0..this.levels.len() {
-                    // New dependency level: all prior sanitizer tags go
-                    // stale (cross-level sharing is legal).
-                    #[cfg(feature = "race-sanitizer")]
-                    if let Some(s) = this.shadow.as_deref() {
-                        s.next_epoch();
-                    }
-                    if this.lpt && this.sched.levels[lvl].serial {
-                        // Too little work to amortize a barrier: run the
-                        // level inline while workers stay parked.
-                        let (mptr, mlen) = mems.get();
-                        // SAFETY: workers are parked at the cycle
-                        // barrier; the main thread has exclusive use.
-                        let banks = unsafe { std::slice::from_raw_parts(mptr, mlen) };
-                        let mut ops = 0u64;
-                        for &s in &this.sched.levels[lvl].bins[0] {
-                            eval_claimed(s as usize, 0, banks, &mut ops);
-                        }
-                        total_ops.fetch_add(ops as usize, Ordering::Relaxed);
-                        continue;
-                    }
-                    level_idx.store(lvl, Ordering::Release);
-                    cursor.store(0, Ordering::Release);
-                    let ops = worker(0);
-                    total_ops.fetch_add(ops as usize, Ordering::Relaxed);
-                }
-                // Serial phase (workers parked at the cycle barrier, so
-                // the main thread has exclusive arena and bank access).
-                // SAFETY: the cycle barrier above parked every worker.
-                unsafe {
-                    this.serial_phase(
-                        &netlist,
-                        &layout,
-                        arena,
-                        &mems,
-                        capture_printf,
-                        &mut halted,
-                        &mut printf_log,
-                        &mut static_checks,
-                    )
-                };
-                ran += 1;
-            }
-            stop.store(true, Ordering::Release);
-            barrier.wait();
-            for h in handles {
-                total_ops.fetch_add(h.join().expect("worker join") as usize, Ordering::Relaxed);
-            }
-        });
-
-        self.machine.counters.ops_evaluated += total_ops.load(Ordering::Relaxed) as u64;
-        self.machine.counters.static_checks += static_checks;
-        self.machine.counters.cycles += ran;
-        self.machine.cycle += ran;
-        self.machine.halted = halted;
-        self.machine.printf_log.extend(printf_log);
-        ran
+            // SAFETY: no other worker exists.
+            unsafe { this.serial_phase(arena, &mems, &mut run) };
+        }
+        self.finish_run(run, ops)
     }
 
-    /// The dataflow (BSP) runtime: no barriers — each worker walks its
-    /// static partition list every cycle, synchronizing through
-    /// per-partition `done` cycle counters.
+    /// The N-worker dataflow runtime: no barriers — each worker walks
+    /// its static partition list every cycle, synchronizing through
+    /// per-partition `done` cycle counters. A schedule with one worker
+    /// runs [`ParEssentSim::run_collapsed`] instead.
     ///
     /// Protocol, per worker `t`, cycle `k` (1-based), partition `p`:
     ///
@@ -1033,7 +943,7 @@ impl ParEssentSim {
     ///    `serial_done >= k-1` (cycle `k-1` fully closed);
     /// 3. bail if a halt at a cycle before `k` was published (before
     ///    touching the activity flag, so poke/wake state survives for a
-    ///    later `step` exactly as in the level engine);
+    ///    later `step` exactly as on one worker);
     /// 4. claim the flag and evaluate (or skip); probe any owned stop
     ///    bits and publish `halt_at = min(halt_at, k)` *before* step 5,
     ///    so no cycle `k+1` evaluation can start once a stop fired;
@@ -1047,12 +957,18 @@ impl ParEssentSim {
     /// order, so all same-cycle waiting follows a total order; `waits_prev`
     /// and `serial_done` waits reference strictly earlier cycles
     /// (verified as S0603/S0605).
-    fn run_cycles_dataflow(&mut self, n: u64) -> u64 {
+    fn run_fanned(&mut self, n: u64) -> u64 {
+        if self.fanout().sched.worker_count() == 1 {
+            return self.run_collapsed(n);
+        }
+        if n == 0 || self.machine.halted.is_some() {
+            return 0;
+        }
         let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
         let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
         let old_ptr = OldPtr(self.old_vals.as_mut_ptr());
-        let ds = self.dsched.as_ref().expect("dataflow schedule");
-        let nworkers = ds.worker_count();
+        let fo = self.fanout.as_ref().expect("built above");
+        let ds = &fo.sched;
         let np = self.plan.partitions.len();
 
         let done: Vec<AtomicU64> = (0..np).map(|_| AtomicU64::new(0)).collect();
@@ -1061,14 +977,7 @@ impl ParEssentSim {
         // at cycle `k` halts the run after cycle `k` completes.
         let halt_at = AtomicU64::new(u64::MAX);
         let total_ops = AtomicUsize::new(0);
-
-        let netlist = self.machine.netlist.clone();
-        let layout = self.machine.layout.clone();
-        let capture_printf = self.machine.capture_printf;
-        let mut halted = self.machine.halted;
-        let mut printf_log: Vec<String> = Vec::new();
-        let mut static_checks = 0u64;
-        let mut ran = 0u64;
+        let mut run = RunTally::new(self.machine.halted);
 
         // Reserve one epoch per cycle so the sanitizer can tell
         // overlapping cycles apart (no-op without the feature).
@@ -1080,88 +989,6 @@ impl ParEssentSim {
             .unwrap_or(0);
 
         let this = &*self;
-
-        if nworkers == 1 {
-            // Single-worker schedule: the worker-list order alone
-            // carries every dependence (the S0603 worker-prefix edges),
-            // so no signaling is needed — a barrier-free sequential
-            // sweep with the serial phase run inline each cycle.
-            let (mptr, mlen) = mems.get();
-            // SAFETY: one worker; this thread has exclusive access.
-            let banks = unsafe { std::slice::from_raw_parts(mptr, mlen) };
-            let mut ops0 = 0u64;
-            for _k in 1..=n {
-                if halted.is_some() {
-                    break;
-                }
-                if let Some(p) = this.profile.as_deref() {
-                    p.begin_cycle();
-                }
-                for &p in &ds.workers[0] {
-                    let p = p as usize;
-                    // Cheap activity test before the claiming RMW: only
-                    // this worker clears the flag, so a relaxed load
-                    // cannot miss a wake the wait edges ordered before
-                    // this cycle (the RMW on every idle partition is
-                    // what the level engines pay the sweep for).
-                    if this.flags[p].load(Ordering::Relaxed)
-                        && this.flags[p].swap(false, Ordering::Relaxed)
-                    {
-                        #[cfg(feature = "race-sanitizer")]
-                        let _sanitizer_scope = this
-                            .shadow
-                            .as_deref()
-                            .map(|s| crate::sanitizer::enter_at(s, p as u32, epoch_base + _k));
-                        match this.profile.as_deref() {
-                            Some(prof) => {
-                                let t0 = prof.eval_begin(p);
-                                let mut part_ops = 0u64;
-                                // SAFETY: exclusive access, schedule order.
-                                unsafe {
-                                    this.eval_partition(
-                                        p,
-                                        arena,
-                                        banks,
-                                        old_ptr.get(),
-                                        &mut part_ops,
-                                        Some(prof),
-                                    )
-                                };
-                                prof.eval_end_on(p, 0, t0, part_ops);
-                                ops0 += part_ops;
-                            }
-                            // SAFETY: exclusive access, schedule order.
-                            None => unsafe {
-                                this.eval_partition(p, arena, banks, old_ptr.get(), &mut ops0, None)
-                            },
-                        }
-                    } else if let Some(prof) = this.profile.as_deref() {
-                        prof.unit_skip(p);
-                    }
-                }
-                // SAFETY: no other worker exists.
-                unsafe {
-                    this.serial_phase(
-                        &netlist,
-                        &layout,
-                        arena,
-                        &mems,
-                        capture_printf,
-                        &mut halted,
-                        &mut printf_log,
-                        &mut static_checks,
-                    )
-                };
-                ran += 1;
-            }
-            self.machine.counters.ops_evaluated += ops0;
-            self.machine.counters.static_checks += static_checks;
-            self.machine.counters.cycles += ran;
-            self.machine.cycle += ran;
-            self.machine.halted = halted;
-            self.machine.printf_log.extend(printf_log);
-            return ran;
-        }
 
         // Bounded-spin wait: true once `ctr >= target`, false if a halt
         // before cycle `k` is published first (the worker must bail).
@@ -1185,13 +1012,12 @@ impl ParEssentSim {
         // One worker's sweep of its partition list for cycle `k`;
         // returns false when the worker must bail (halt published).
         let sweep = |tid: usize, k: u64, ops: &mut u64| -> bool {
-            let (mptr, mlen) = mems.get();
             // SAFETY: banks are written only in the serial phase, which
             // runs concurrently only with exempt partitions whose bank
             // reads are disjoint from every written bank (S0602);
             // non-exempt partitions hold no bank access while the
             // serial phase runs (they wait on `serial_done`).
-            let banks = unsafe { std::slice::from_raw_parts(mptr, mlen) };
+            let banks = unsafe { mems.banks() };
             for &p in &ds.workers[tid] {
                 let p = p as usize;
                 for &q in &ds.waits_same[p] {
@@ -1214,14 +1040,6 @@ impl ParEssentSim {
                 if halt_at.load(Ordering::Acquire) < k {
                     return false;
                 }
-                // Relaxed-load activity test before the claiming RMW
-                // (see the single-worker sweep): every wake for cycle
-                // `k` is ordered before this test by the wait edges
-                // just passed — producer wakes before their `done`
-                // stores, serial wakes before `serial_done` (and the
-                // serial phase never wakes an exempt partition, S0602).
-                if this.flags[p].load(Ordering::Relaxed)
-                    && this.flags[p].swap(false, Ordering::Relaxed)
                 {
                     // Tag accesses with this cycle's epoch (overlapping
                     // cycles are in flight at once).
@@ -1230,42 +1048,18 @@ impl ParEssentSim {
                         .shadow
                         .as_deref()
                         .map(|s| crate::sanitizer::enter_at(s, p as u32, epoch_base + k));
-                    match this.profile.as_deref() {
-                        Some(prof) => {
-                            let t0 = prof.eval_begin(p);
-                            let mut part_ops = 0u64;
-                            // SAFETY: every cross-partition footprint
-                            // overlap is covered by a wait edge passed
-                            // above (S0601), and cross-cycle overlap
-                            // only pairs footprint-disjoint partitions
-                            // (S0602/S0604).
-                            unsafe {
-                                this.eval_partition(
-                                    p,
-                                    arena,
-                                    banks,
-                                    old_ptr.get(),
-                                    &mut part_ops,
-                                    Some(prof),
-                                )
-                            };
-                            prof.eval_end_on(p, tid as u32, t0, part_ops);
-                            *ops += part_ops;
-                        }
-                        // SAFETY: as above (S0601/S0602/S0604 cover).
-                        None => unsafe {
-                            this.eval_partition(p, arena, banks, old_ptr.get(), ops, None)
-                        },
-                    }
-                } else if let Some(prof) = this.profile.as_deref() {
-                    prof.unit_skip(p);
+                    // SAFETY: every cross-partition footprint overlap is
+                    // covered by a wait edge passed above (S0601), and
+                    // cross-cycle overlap only pairs footprint-disjoint
+                    // partitions (S0602/S0604).
+                    unsafe { this.claim_and_eval(p, tid, arena, banks, old_ptr.get(), ops) };
                 }
                 // Publish a halt bound for any owned stop bits BEFORE
                 // `done[p]`, so every wait on `done[p] >= k` also sees
                 // the halt (stop owners are serial-conflicting, and
                 // exempt partitions wait on the owners via
                 // `waits_prev`).
-                for &off in &this.stop_probe[p] {
+                for &off in &fo.stop_probe[p] {
                     // SAFETY: the stop bit is `p`'s own member slot
                     // (owners are chosen by `sched_of_signal`), in
                     // bounds by construction.
@@ -1281,8 +1075,7 @@ impl ParEssentSim {
 
         std::thread::scope(|scope| {
             let sweep = &sweep;
-            let wait = &wait;
-            let handles: Vec<_> = (1..nworkers)
+            let handles: Vec<_> = (1..ds.worker_count())
                 .map(|t| {
                     scope.spawn(move || {
                         let mut ops = 0u64;
@@ -1305,16 +1098,11 @@ impl ParEssentSim {
                     break;
                 }
                 // Close cycle `k`: every worker's last partition done.
-                let mut bailed = false;
-                for list in ds.workers.iter().skip(1) {
-                    if let Some(&tail) = list.last() {
-                        if !wait(&done[tail as usize], k, k) {
-                            bailed = true;
-                            break;
-                        }
-                    }
-                }
-                if bailed {
+                let closed = ds.workers[1..]
+                    .iter()
+                    .filter_map(|list| list.last())
+                    .all(|&tail| wait(&done[tail as usize], k, k));
+                if !closed {
                     break;
                 }
                 // SAFETY: all workers finished cycle `k`; the only
@@ -1322,20 +1110,8 @@ impl ParEssentSim {
                 // exempt partitions at cycle `k+1`, whose footprints
                 // the dependence analysis proves disjoint from every
                 // word and bank the serial phase touches (S0602).
-                unsafe {
-                    this.serial_phase(
-                        &netlist,
-                        &layout,
-                        arena,
-                        &mems,
-                        capture_printf,
-                        &mut halted,
-                        &mut printf_log,
-                        &mut static_checks,
-                    )
-                };
-                ran += 1;
-                if halted.is_some() {
+                unsafe { this.serial_phase(arena, &mems, &mut run) };
+                if run.halted.is_some() {
                     // The halting cycle still counts (it completed);
                     // everything later bails before touching flags.
                     halt_at.fetch_min(k, Ordering::AcqRel);
@@ -1349,18 +1125,28 @@ impl ParEssentSim {
             }
         });
 
-        self.machine.counters.ops_evaluated += total_ops.load(Ordering::Relaxed) as u64;
-        self.machine.counters.static_checks += static_checks;
-        self.machine.counters.cycles += ran;
-        self.machine.cycle += ran;
-        self.machine.halted = halted;
-        self.machine.printf_log.extend(printf_log);
-        ran
+        self.fanout_cycles += run.ran;
+        self.finish_run(run, total_ops.load(Ordering::Relaxed) as u64)
     }
+}
 
-    /// The synthesized dataflow schedule, when running in dataflow mode.
-    pub fn dataflow_schedule(&self) -> Option<&DataflowSchedule> {
-        self.dsched.as_ref()
+/// Serial-phase state of one run, folded back into the machine by
+/// [`ParEssentSim::finish_run`].
+struct RunTally {
+    ran: u64,
+    halted: Option<u64>,
+    printf_log: Vec<String>,
+    static_checks: u64,
+}
+
+impl RunTally {
+    fn new(halted: Option<u64>) -> RunTally {
+        RunTally {
+            ran: 0,
+            halted,
+            printf_log: Vec::new(),
+            static_checks: 0,
+        }
     }
 }
 
@@ -1387,10 +1173,23 @@ impl Simulator for ParEssentSim {
     }
 
     fn step(&mut self, n: u64) -> u64 {
-        if self.machine.halted.is_some() {
+        if self.machine.halted.is_some() || n == 0 {
             return 0;
         }
-        self.run_cycles(n)
+        let mut first = 0;
+        if self.machine.cycle == 0 && !self.force_fanout {
+            // The first cycle evaluates every partition (all flags start
+            // set): run it on its own and keep it out of the window.
+            first = self.run_collapsed(1);
+        }
+        let ops_before = self.machine.counters.ops_evaluated;
+        let rest = if self.force_fanout || fans_out(self.threads, n, self.window) {
+            self.run_fanned(n - first)
+        } else {
+            self.run_collapsed(n - first)
+        };
+        self.window = (self.machine.counters.ops_evaluated - ops_before, rest);
+        first + rest
     }
 
     fn engine_name(&self) -> &'static str {
@@ -1416,20 +1215,39 @@ mod tests {
 
     const COUNTER: &str = "circuit C :\n  module C :\n    input clock : Clock\n    input reset : UInt<1>\n    output q : UInt<8>\n    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    r <= tail(add(r, UInt<8>(1)), 1)\n    q <= r\n";
 
+    /// One engine per thread count, collapsed (`false`) and forced to
+    /// fan out (`true`).
+    fn engines(n: &Netlist, cfg: &EngineConfig) -> Vec<(usize, bool, ParEssentSim)> {
+        let mut out = Vec::new();
+        for threads in [1, 2, 4] {
+            for forced in [false, true] {
+                let mut sim = ParEssentSim::new(n, cfg, threads);
+                if forced {
+                    sim.force_fanout();
+                }
+                out.push((threads, forced, sim));
+            }
+        }
+        out
+    }
+
     #[test]
     fn parallel_counter_counts() {
         let n = netlist_of(COUNTER);
-        for threads in [1, 2, 4] {
-            let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), threads);
+        for (threads, forced, mut sim) in engines(&n, &EngineConfig::default()) {
             sim.poke("reset", Bits::from_u64(0, 1));
             sim.step(10);
-            assert_eq!(sim.peek("q").to_u64(), Some(9), "threads={threads}");
+            assert_eq!(
+                sim.peek("q").to_u64(),
+                Some(9),
+                "threads={threads} forced={forced}"
+            );
         }
     }
 
     #[test]
     fn parallel_matches_sequential_on_wide_design() {
-        // Many independent register pipelines: real level-parallel work.
+        // Many independent register pipelines: real parallel work.
         let mut body = String::new();
         use std::fmt::Write;
         for i in 0..16 {
@@ -1450,32 +1268,29 @@ mod tests {
             "circuit W :\n  module W :\n    input clock : Clock\n    input x : UInt<16>\n    output o : UInt<16>\n{body}"
         );
         let n = netlist_of(&src);
-        let mut par = ParEssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 2,
-                ..EngineConfig::default()
-            },
-            4,
-        );
-        let mut seq = EssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 2,
-                ..EngineConfig::default()
-            },
-        );
+        let cfg = EngineConfig {
+            c_p: 2,
+            ..EngineConfig::default()
+        };
+        let mut pars = engines(&n, &cfg);
+        let mut seq = EssentSim::new(&n, &cfg);
         let mut full = FullCycleSim::new(&n, &EngineConfig::default());
         for cycle in 0..60u64 {
             let x = Bits::from_u64((cycle * 2654435761) & 0xffff, 16);
-            par.poke("x", x.clone());
             seq.poke("x", x.clone());
-            full.poke("x", x);
-            par.step(1);
+            full.poke("x", x.clone());
             seq.step(1);
             full.step(1);
-            assert_eq!(par.peek("o"), seq.peek("o"), "cycle {cycle}");
-            assert_eq!(par.peek("o"), full.peek("o"), "cycle {cycle}");
+            assert_eq!(seq.peek("o"), full.peek("o"), "cycle {cycle}");
+            for (threads, forced, par) in &mut pars {
+                par.poke("x", x.clone());
+                par.step(1);
+                assert_eq!(
+                    par.peek("o"),
+                    seq.peek("o"),
+                    "cycle {cycle} threads={threads} forced={forced}"
+                );
+            }
         }
     }
 
@@ -1483,36 +1298,57 @@ mod tests {
     fn parallel_respects_stop() {
         let src = "circuit S :\n  module S :\n    input clock : Clock\n    input reset : UInt<1>\n    reg r : UInt<4>, clock with : (reset => (reset, UInt<4>(0)))\n    r <= tail(add(r, UInt<4>(1)), 1)\n    stop(clock, eq(r, UInt<4>(5)), 9)\n";
         let n = netlist_of(src);
-        let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), 2);
-        sim.poke("reset", Bits::from_u64(0, 1));
-        let ran = sim.step(100);
-        assert_eq!(sim.halted(), Some(9));
-        assert!(ran < 100);
+        for (threads, forced, mut sim) in engines(&n, &EngineConfig::default()) {
+            let tag = format!("threads={threads} forced={forced}");
+            sim.poke("reset", Bits::from_u64(0, 1));
+            let ran = sim.step(100);
+            assert_eq!(sim.halted(), Some(9), "{tag}");
+            assert!(ran < 100, "{tag}");
+            // Post-halt steps are no-ops.
+            assert_eq!(sim.step(5), 0, "{tag}");
+        }
     }
 
-    fn dataflow_config() -> EngineConfig {
-        EngineConfig {
-            par_dataflow: true,
-            ..EngineConfig::default()
-        }
+    /// The fan-out rule: a pure function of the worker budget, the call
+    /// length and the previous call's `(ops, cycles)`.
+    #[test]
+    fn fanout_decision_rule() {
+        let busy = FANOUT_CROSSOVER_OPS;
+        let long = FANOUT_MIN_CYCLES;
+        // Measured activity at the crossover over a long window fans out.
+        assert!(fans_out(2, long, (busy * long, long)));
+        // One worker never fans out.
+        assert!(!fans_out(1, long, (busy * long, long)));
+        // Short calls (the reset `step(2)`) never fan out.
+        assert!(!fans_out(2, 2, (busy * long, long)));
+        // A short window (the first call's cycle after the all-flags-set
+        // first cycle, or a `step(1)` loop) is no measurement.
+        assert!(!fans_out(2, long, (busy * 100, 1)));
+        // Below the crossover stays collapsed.
+        assert!(!fans_out(2, long, (busy * long - 1, long)));
+        // Nothing measured yet.
+        assert!(!fans_out(4, u64::MAX, (0, 0)));
     }
 
     #[test]
-    fn dataflow_counter_counts() {
+    fn low_activity_runs_stay_on_the_calling_thread() {
         let n = netlist_of(COUNTER);
-        for threads in [1, 2, 4] {
-            let mut sim = ParEssentSim::new(&n, &dataflow_config(), threads);
-            assert!(sim.dataflow_schedule().is_some());
-            sim.poke("reset", Bits::from_u64(0, 1));
-            sim.step(10);
-            assert_eq!(sim.peek("q").to_u64(), Some(9), "threads={threads}");
+        let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), 4);
+        sim.poke("reset", Bits::from_u64(0, 1));
+        for _ in 0..4 {
+            sim.step(1000);
         }
+        assert_eq!(sim.fanout_cycles(), 0);
+        // The N-worker side is never built.
+        assert!(sim.dataflow_schedule().is_none());
+        assert_eq!(sim.peek("q").to_u64(), Some(((4000 - 1) % 256) as u64));
     }
 
     /// `n` independent self-feedback registers: every register's only
     /// reader is its own next function, so all of them elide and the
     /// serial phase has (almost) nothing to do — the shape where
-    /// cycle-boundary overlap exemption actually fires.
+    /// cycle-boundary overlap exemption actually fires. Every register
+    /// changes every cycle, so the whole farm is active.
     fn register_farm(nregs: usize) -> String {
         use std::fmt::Write;
         let mut body = String::new();
@@ -1530,24 +1366,72 @@ mod tests {
         )
     }
 
+    /// `nregs` independent registers whose next-state function chains
+    /// `depth` xor/add rounds: every register changes every cycle, so an
+    /// all-active cycle evaluates about `3 * depth * nregs` ops.
+    fn busy_farm(nregs: usize, depth: usize) -> String {
+        use std::fmt::Write;
+        let mut body = String::new();
+        for i in 0..nregs {
+            let _ = writeln!(body, "    reg r{i} : UInt<16>, clock");
+            let mut e = format!("r{i}");
+            for d in 0..depth {
+                e = format!("bits(add(xor({e}, x), UInt<16>({})), 15, 0)", (i + d) | 1);
+            }
+            let _ = writeln!(body, "    r{i} <= {e}");
+        }
+        let _ = writeln!(body, "    o <= r0");
+        format!(
+            "circuit B :\n  module B :\n    input clock : Clock\n    input x : UInt<16>\n    output o : UInt<16>\n{body}"
+        )
+    }
+
     #[test]
-    fn dataflow_matches_sequential_on_register_farm() {
+    fn busy_runs_fan_out_and_stay_exact() {
+        // Enough work that an all-active cycle clears the crossover.
+        let depth = 16;
+        let nregs = (FANOUT_CROSSOVER_OPS as usize).div_ceil(2 * depth) + 8;
+        let n = netlist_of(&busy_farm(nregs, depth));
+        let cfg = EngineConfig::default();
+        let mut seq = EssentSim::new(&n, &cfg);
+        let mut par = ParEssentSim::new(&n, &cfg, 2);
+        let x = Bits::from_u64(0x1234, 16);
+        seq.poke("x", x.clone());
+        par.poke("x", x);
+        // The first call measures (its all-flags-set first cycle aside);
+        // only the second may fan out.
+        let first = FANOUT_MIN_CYCLES + 1;
+        for (call, n, expect_fanned) in [(0, first, 0), (1, FANOUT_MIN_CYCLES, FANOUT_MIN_CYCLES)] {
+            seq.step(n);
+            par.step(n);
+            assert_eq!(par.fanout_cycles(), expect_fanned, "call {call}");
+            assert_eq!(par.peek("o"), seq.peek("o"), "call {call}");
+        }
+        let c = par.counters();
+        assert!(c.ops_evaluated >= FANOUT_CROSSOVER_OPS * c.cycles, "{c:?}");
+        // Short calls fall back to the calling thread.
+        seq.step(2);
+        par.step(2);
+        assert_eq!(par.fanout_cycles(), FANOUT_MIN_CYCLES);
+        let last = format!("r{}", nregs - 1);
+        assert_eq!(par.peek(&last), seq.peek(&last));
+    }
+
+    #[test]
+    fn forced_fanout_matches_sequential_on_register_farm() {
         let n = netlist_of(&register_farm(768));
         let cfg = EngineConfig {
             c_p: 2,
-            par_dataflow: true,
             ..EngineConfig::default()
         };
-        let mut seq = EssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 2,
-                ..EngineConfig::default()
-            },
-        );
+        let mut seq = EssentSim::new(&n, &cfg);
         let mut dts: Vec<_> = [1usize, 2, 4]
             .iter()
-            .map(|&t| ParEssentSim::new(&n, &cfg, t))
+            .map(|&t| {
+                let mut sim = ParEssentSim::new(&n, &cfg, t);
+                assert_eq!(sim.force_fanout(), t);
+                sim
+            })
             .collect();
         // The farm has exempt partitions at 2+ workers, so the
         // cross-cycle overlap path is exercised (batched steps below).
@@ -1565,15 +1449,12 @@ mod tests {
                 }
             }
         }
+        assert_eq!(dts[0].fanout_cycles(), 0, "one worker runs collapsed");
+        assert_eq!(dts[2].fanout_cycles(), 40);
         // Batched steps keep adjacent cycles in flight simultaneously.
         let mut batched = ParEssentSim::new(&n, &cfg, 4);
-        let mut seq = EssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 2,
-                ..EngineConfig::default()
-            },
-        );
+        batched.force_fanout();
+        let mut seq = EssentSim::new(&n, &cfg);
         batched.poke("x", Bits::from_u64(0x1234, 16));
         seq.poke("x", Bits::from_u64(0x1234, 16));
         batched.step(64);
@@ -1583,25 +1464,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dataflow_respects_stop() {
-        let src = "circuit S :\n  module S :\n    input clock : Clock\n    input reset : UInt<1>\n    reg r : UInt<4>, clock with : (reset => (reset, UInt<4>(0)))\n    r <= tail(add(r, UInt<4>(1)), 1)\n    stop(clock, eq(r, UInt<4>(5)), 9)\n";
-        let n = netlist_of(src);
-        for threads in [1, 2, 4] {
-            let mut sim = ParEssentSim::new(&n, &dataflow_config(), threads);
-            sim.poke("reset", Bits::from_u64(0, 1));
-            let ran = sim.step(100);
-            assert_eq!(sim.halted(), Some(9), "threads={threads}");
-            assert!(ran < 100, "threads={threads}");
-            // Post-halt steps are no-ops, exactly like the level engine.
-            assert_eq!(sim.step(5), 0, "threads={threads}");
-        }
-    }
-
-    /// A register farm (so 2+ dataflow workers get exempt partitions
-    /// speculating one cycle ahead) plus a counter-armed stop whose fire
-    /// cycle is an *input*: the stage for sweeping a halt across every
-    /// offset of one batched `step`.
+    /// A register farm (so 2+ workers get exempt partitions speculating
+    /// one cycle ahead) plus a counter-armed stop whose fire cycle is an
+    /// *input*: the stage for sweeping a halt across every offset of
+    /// one batched `step`.
     fn stopping_farm(nregs: usize) -> String {
         use std::fmt::Write;
         let mut body = String::new();
@@ -1623,12 +1489,12 @@ mod tests {
     }
 
     /// The `halt_at` publication protocol, empirically: a stop firing at
-    /// *every* cycle offset inside one batched `step` must leave both
-    /// parallel engines with exactly the golden sequential state — no
+    /// *every* cycle offset inside one batched `step` must leave the
+    /// parallel engine with exactly the golden sequential state — no
     /// speculated cycle may survive a halt, and the halting cycle itself
-    /// must complete. Covers the level (LPT) batched path and the
-    /// dataflow path where exempt partitions run a cycle ahead of the
-    /// stop owner's publication.
+    /// must complete. Covers the collapsed sweep and the N-worker
+    /// schedule where exempt partitions run a cycle ahead of the stop
+    /// owner's publication.
     #[test]
     fn batched_halt_at_every_offset_matches_sequential() {
         let n = netlist_of(&stopping_farm(768));
@@ -1636,18 +1502,10 @@ mod tests {
             c_p: 2,
             ..EngineConfig::default()
         };
-        let df_cfg = EngineConfig {
-            par_dataflow: true,
-            ..cfg.clone()
-        };
         // The farm must actually exercise cross-cycle speculation.
-        assert!(
-            ParEssentSim::new(&n, &df_cfg, 4)
-                .dataflow_schedule()
-                .unwrap()
-                .exempt_count()
-                > 0
-        );
+        let mut probe = ParEssentSim::new(&n, &cfg, 4);
+        probe.force_fanout();
+        assert!(probe.dataflow_schedule().unwrap().exempt_count() > 0);
         let probes = ["c", "r0", "r17", "r95", "o"];
         const BATCH: u64 = 64;
         for offset in 0..BATCH {
@@ -1658,15 +1516,15 @@ mod tests {
             seq.poke("x", x.clone());
             let seq_ran = seq.step(BATCH);
             assert_eq!(seq.halted(), Some(7), "offset {offset}");
-            for (threads, dcfg) in [(4, &cfg), (2, &df_cfg), (4, &df_cfg)] {
-                let mut par = ParEssentSim::new(&n, dcfg, threads);
+            for (threads, forced) in [(4, false), (2, true), (4, true)] {
+                let mut par = ParEssentSim::new(&n, &cfg, threads);
+                if forced {
+                    par.force_fanout();
+                }
                 par.poke("t", t.clone());
                 par.poke("x", x.clone());
                 let ran = par.step(BATCH);
-                let tag = format!(
-                    "offset {offset} threads {threads} dataflow {}",
-                    dcfg.par_dataflow
-                );
+                let tag = format!("offset {offset} threads {threads} forced {forced}");
                 assert_eq!(ran, seq_ran, "{tag}: cycle count");
                 assert_eq!(par.halted(), Some(7), "{tag}: halt code");
                 for p in probes {
@@ -1682,7 +1540,9 @@ mod tests {
     #[test]
     fn dataflow_schedule_is_sane() {
         let n = netlist_of(COUNTER);
-        let sim = ParEssentSim::new(&n, &dataflow_config(), 4);
+        let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), 4);
+        assert!(sim.dataflow_schedule().is_none(), "built lazily");
+        sim.force_fanout();
         let ds = sim.dataflow_schedule().unwrap();
         let np = sim.partition_count();
         let mut seen = vec![false; np];
@@ -1693,8 +1553,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "every partition scheduled");
-        // The stop-free counter design still has the serial register
-        // commit, so its lone conflict partition must be non-exempt.
         for p in 0..np {
             if ds.exempt[p] {
                 assert!(ds.worker_count() > 1);
@@ -1715,7 +1573,7 @@ mod tests {
         );
         assert!(sim.level_count() >= 1);
         assert_eq!(
-            sim.levels.iter().map(Vec::len).sum::<usize>(),
+            plan_levels(&sim.plan).iter().map(Vec::len).sum::<usize>(),
             sim.partition_count()
         );
     }

@@ -1060,7 +1060,7 @@ impl ProfileReport {
 }
 
 /// Projects a per-unit [`ProfileReport`] down to the per-node
-/// [`ActivityPrior`] the partitioner and the LPT scheduler consume.
+/// [`ActivityPrior`] the partitioner and the cost model consume.
 ///
 /// The report's units are schedule indices of `plan` (names `p<i>`);
 /// each unit's activity rate lands on every node the unit covers, and

@@ -1,9 +1,9 @@
-//! Properties of the profile-feedback loop: the activity-guided merge
-//! phase is pure scheduling — it may regroup partitions but can never
-//! break the exact-cover/acyclicity invariants or change observable
-//! behavior — and the LPT level scheduler is execution-equivalent to
-//! the original uniform level sweep, cycle for cycle, counter for
-//! counter.
+//! Properties of the profile-feedback loop and of the parallel engine's
+//! two paths: the activity-guided merge phase is pure scheduling — it
+//! may regroup partitions but can never break the exact-cover/acyclicity
+//! invariants or change observable behavior — and the N-worker dataflow
+//! schedule is execution-equivalent to the one-worker sweep, cycle for
+//! cycle, counter for counter.
 
 use essent_bits::Bits;
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
@@ -149,99 +149,40 @@ fn check_feedback_loop(seed: u64) {
     }
 }
 
-/// LPT bins vs. the uniform level sweep across the full optimization
-/// switch matrix: identical outputs *and* identical work counters every
-/// cycle — the scheduler may only change who runs a partition, never
-/// whether or how it runs.
-fn check_lpt_differential(seed: u64) {
-    let circuit = gen_circuit(seed);
-    let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        let sweep_cfg = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            par_lpt: false,
-            ..EngineConfig::default()
-        };
-        let lpt_cfg = EngineConfig {
-            par_lpt: true,
-            ..sweep_cfg.clone()
-        };
-        let mut golden = Interpreter::new(&netlist);
-        let mut sweep = ParEssentSim::new(&netlist, &sweep_cfg, 3);
-        let mut lpt = ParEssentSim::new(&netlist, &lpt_cfg, 3);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1B7);
-        for cycle in 0..25u64 {
-            for (name, width) in &circuit.inputs {
-                let value = if name == "reset" {
-                    Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-                } else {
-                    Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                };
-                golden.poke(name, value.clone());
-                sweep.poke(name, value.clone());
-                lpt.poke(name, value);
-            }
-            golden.step(1);
-            sweep.step(1);
-            lpt.step(1);
-            for out in &circuit.outputs {
-                let expect = golden.peek(out);
-                for (which, e) in [("sweep", &sweep), ("lpt", &lpt)] {
-                    assert_eq!(
-                        e.peek(out),
-                        expect,
-                        "seed {seed} bits={bits:05b} cycle {cycle}: {which} disagrees on {out}\n{}",
-                        circuit.source
-                    );
-                }
-            }
-            assert_eq!(
-                sweep.counters(),
-                lpt.counters(),
-                "seed {seed} bits={bits:05b} cycle {cycle}: LPT changed the work done\n{}",
-                circuit.source
-            );
-        }
-    }
-}
-
-/// The static dataflow schedule vs. the LPT level sweep vs. the golden
-/// interpreter across the optimization matrix: the dataflow engine may
-/// only change *when* a partition runs relative to others (ready-flag
-/// waits instead of level barriers, cycle-boundary overlap for exempt
-/// partitions), never whether it runs or what it computes. Outputs and
-/// [`WorkCounters`] must agree cycle for cycle, and again over a
-/// batched `step(16)` — the only place cross-cycle overlap actually
-/// engages, since a `step(1)` drains the pipeline every call.
-fn check_dataflow_differential(seed: u64) {
+/// The parallel engine's forced N-worker dataflow schedule vs. its
+/// collapsed one-worker sweep vs. the sequential engine vs. the golden
+/// interpreter across the optimization matrix: the schedule may only
+/// change *when* a partition runs relative to others (ready-flag waits,
+/// cycle-boundary overlap for exempt partitions), never whether it runs
+/// or what it computes. Outputs and [`WorkCounters`] must agree cycle
+/// for cycle, and again over a batched `step(16)` — the only place
+/// cross-cycle overlap actually engages, since a `step(1)` drains the
+/// pipeline every call.
+fn check_fanout_differential(seed: u64) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
     for bits in 0..32u32 {
         // Rotate the worker count through the matrix so every flag
         // combination sees single-, dual-, and quad-worker schedules.
         let threads = [1usize, 2, 4][(bits % 3) as usize];
-        let lpt_cfg = EngineConfig {
+        let cfg = EngineConfig {
             trigger_push: bits & 1 != 0,
             mux_conditional: bits & 2 != 0,
             elide_state: bits & 4 != 0,
             tier1: bits & 8 != 0,
             fuse_triggers: bits & 16 != 0,
             c_p: 4,
-            par_lpt: true,
             ..EngineConfig::default()
         };
-        let df_cfg = EngineConfig {
-            par_dataflow: true,
-            ..lpt_cfg.clone()
+        let twins = || {
+            let collapsed = ParEssentSim::new(&netlist, &cfg, threads);
+            let mut forced = ParEssentSim::new(&netlist, &cfg, threads);
+            forced.force_fanout();
+            (collapsed, forced)
         };
         let mut golden = Interpreter::new(&netlist);
-        let mut lpt = ParEssentSim::new(&netlist, &lpt_cfg, threads);
-        let mut df = ParEssentSim::new(&netlist, &df_cfg, threads);
+        let mut seq = EssentSim::new(&netlist, &cfg);
+        let (mut collapsed, mut forced) = twins();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
         for cycle in 0..20u64 {
             for (name, width) in &circuit.inputs {
@@ -251,34 +192,34 @@ fn check_dataflow_differential(seed: u64) {
                     Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
                 };
                 golden.poke(name, value.clone());
-                lpt.poke(name, value.clone());
-                df.poke(name, value);
+                seq.poke(name, value.clone());
+                collapsed.poke(name, value.clone());
+                forced.poke(name, value);
             }
             golden.step(1);
-            lpt.step(1);
-            df.step(1);
+            seq.step(1);
+            collapsed.step(1);
+            forced.step(1);
             for out in &circuit.outputs {
                 let expect = golden.peek(out);
-                assert_eq!(
-                    df.peek(out),
-                    expect,
-                    "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
-                     dataflow disagrees on {out}\n{}",
-                    circuit.source
-                );
-                assert_eq!(
-                    lpt.peek(out),
-                    expect,
-                    "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
-                     lpt disagrees on {out}\n{}",
-                    circuit.source
-                );
+                for (which, got) in [
+                    ("sequential", seq.peek(out)),
+                    ("collapsed", collapsed.peek(out)),
+                    ("forced", forced.peek(out)),
+                ] {
+                    assert_eq!(
+                        got, expect,
+                        "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
+                         {which} disagrees on {out}\n{}",
+                        circuit.source
+                    );
+                }
             }
             assert_eq!(
-                df.counters(),
-                lpt.counters(),
+                forced.counters(),
+                collapsed.counters(),
                 "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
-                 dataflow changed the work done\n{}",
+                 fan-out changed the work done\n{}",
                 circuit.source
             );
         }
@@ -286,8 +227,7 @@ fn check_dataflow_differential(seed: u64) {
         // Batched phase: fresh twins, one poke, sixteen cycles in a
         // single engine call so exempt partitions overlap the boundary.
         let mut golden = Interpreter::new(&netlist);
-        let mut lpt = ParEssentSim::new(&netlist, &lpt_cfg, threads);
-        let mut df = ParEssentSim::new(&netlist, &df_cfg, threads);
+        let (mut collapsed, mut forced) = twins();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
         for (phase, n) in [(0u32, 2u64), (1, 16)] {
             for (name, width) in &circuit.inputs {
@@ -297,27 +237,31 @@ fn check_dataflow_differential(seed: u64) {
                     Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
                 };
                 golden.poke(name, value.clone());
-                lpt.poke(name, value.clone());
-                df.poke(name, value);
+                collapsed.poke(name, value.clone());
+                forced.poke(name, value);
             }
             golden.step(n);
-            lpt.step(n);
-            df.step(n);
+            collapsed.step(n);
+            forced.step(n);
         }
         for out in &circuit.outputs {
             let expect = golden.peek(out);
-            assert_eq!(
-                df.peek(out),
-                expect,
-                "seed {seed} bits={bits:05b} threads={threads}: batched dataflow \
-                 disagrees on {out}\n{}",
-                circuit.source
-            );
+            for (which, got) in [
+                ("collapsed", collapsed.peek(out)),
+                ("forced", forced.peek(out)),
+            ] {
+                assert_eq!(
+                    got, expect,
+                    "seed {seed} bits={bits:05b} threads={threads}: batched {which} \
+                     disagrees on {out}\n{}",
+                    circuit.source
+                );
+            }
         }
         assert_eq!(
-            df.counters(),
-            lpt.counters(),
-            "seed {seed} bits={bits:05b} threads={threads}: batched dataflow \
+            forced.counters(),
+            collapsed.counters(),
+            "seed {seed} bits={bits:05b} threads={threads}: batched fan-out \
              changed the work done\n{}",
             circuit.source
         );
@@ -343,13 +287,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn lpt_matches_level_sweep(seed in any::<u64>()) {
-        check_lpt_differential(seed);
-    }
-
-    #[test]
-    fn dataflow_matches_lpt_and_golden(seed in any::<u64>()) {
-        check_dataflow_differential(seed);
+    fn fanout_matches_collapsed_and_golden(seed in any::<u64>()) {
+        check_fanout_differential(seed);
     }
 }
 
@@ -363,15 +302,8 @@ fn feedback_fixed_seeds() {
 }
 
 #[test]
-fn lpt_fixed_seeds() {
-    for seed in [0u64, 7, 0xC0FFEE] {
-        check_lpt_differential(seed);
-    }
-}
-
-#[test]
-fn dataflow_fixed_seeds() {
-    for seed in [0u64, 7, 0xDF10] {
-        check_dataflow_differential(seed);
+fn fanout_fixed_seeds() {
+    for seed in [0u64, 7, 0xDF10, 0xC0FFEE] {
+        check_fanout_differential(seed);
     }
 }

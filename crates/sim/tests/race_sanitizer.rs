@@ -1,11 +1,13 @@
 //! Differential oracle for the race sanitizer: with the
 //! `race-sanitizer` feature enabled, a [`ParEssentSim`] built with
-//! `race_sanitizer: true` must (a) never panic — the static footprint
-//! proof (`essent-verify` `R0501`–`R0504`) claims the parallel schedule
-//! is race-free, and the sanitizer panics exactly on races — and
+//! `race_sanitizer: true` and forced to fan out must (a) never panic —
+//! the static footprint and dependence proofs (`essent-verify`
+//! `R0501`–`R0504`, `S0601`–`S0605`) claim the N-worker schedule is
+//! race-free, and the sanitizer panics exactly on races — and
 //! (b) behave identically to the sanitizer-off twin: same outputs every
 //! cycle, same [`WorkCounters`] at the end, across the full 32-config
-//! engine matrix at 1, 2, and 3 worker threads.
+//! engine matrix at 1, 2, 3 and 4 worker threads. Fan-out is forced
+//! because a run collapsed onto one worker has no concurrency to check.
 //!
 //! Without the feature the test still runs (both twins are plain
 //! parallel engines), keeping the harness itself under test.
@@ -27,9 +29,16 @@ fn build(source: &str) -> Netlist {
         .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
 }
 
-/// Sanitizer-on vs sanitizer-off parallel twins over the 32-config
+/// A parallel engine forced onto its N-worker schedule.
+fn fanned(netlist: &Netlist, config: &EngineConfig, threads: usize) -> ParEssentSim {
+    let mut sim = ParEssentSim::new(netlist, config, threads);
+    sim.force_fanout();
+    sim
+}
+
+/// Sanitizer-on vs sanitizer-off fanned-out twins over the 32-config
 /// matrix (same bit layout as `prop_equivalence::check_config_matrix`),
-/// each checked against the reference interpreter.
+/// each checked against the reference interpreter, one cycle per call.
 fn check_sanitizer_twins(seed: u64, threads: usize) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
@@ -44,8 +53,8 @@ fn check_sanitizer_twins(seed: u64, threads: usize) {
             ..EngineConfig::default()
         };
         let mut golden = Interpreter::new(&netlist);
-        let mut off = ParEssentSim::new(&netlist, &config, threads);
-        let mut on = ParEssentSim::new(
+        let mut off = fanned(&netlist, &config, threads);
+        let mut on = fanned(
             &netlist,
             &EngineConfig {
                 race_sanitizer: true,
@@ -95,9 +104,8 @@ fn check_sanitizer_twins(seed: u64, threads: usize) {
     }
 }
 
-/// The same twin discipline over the dataflow engine: ready-flag waits
-/// and cycle-boundary overlap replace the level barriers, and the
-/// sanitizer's epoch windows must still see every access as ordered.
+/// The same twin discipline over batched calls: the sanitizer's epoch
+/// windows must still see every access as ordered when cycles overlap.
 /// The batched `step(16)` leg is the one that actually overlaps
 /// cycles — a `step(1)` drains the pipeline every call.
 fn check_dataflow_sanitizer_twins(seed: u64, threads: usize) {
@@ -111,12 +119,11 @@ fn check_dataflow_sanitizer_twins(seed: u64, threads: usize) {
             tier1: bits & 8 != 0,
             fuse_triggers: bits & 16 != 0,
             c_p: 4,
-            par_dataflow: true,
             ..EngineConfig::default()
         };
         let mut golden = Interpreter::new(&netlist);
-        let mut off = ParEssentSim::new(&netlist, &config, threads);
-        let mut on = ParEssentSim::new(
+        let mut off = fanned(&netlist, &config, threads);
+        let mut on = fanned(
             &netlist,
             &EngineConfig {
                 race_sanitizer: true,

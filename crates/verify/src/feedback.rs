@@ -1,21 +1,14 @@
 //! Profile-feedback verifier (`F____` codes): audits the activity-guided
-//! repartitioning and the LPT level schedule.
+//! repartitioning.
 //!
-//! Two passes:
-//!
-//! * [`check_activity_merge`] replays an [`ActivityMergeRecord`] log
-//!   from the structural baseline partitioning and re-checks every side
-//!   condition with this crate's own code — endpoint liveness, the hot
-//!   threshold (re-aggregated from the prior), the size cap, and the
-//!   no-new-cycle condition via an independent indirect-path search over
-//!   the replayed partition graph. The replay must land exactly on the
-//!   claimed final assignment, which is then re-proved an exact acyclic
-//!   cover of the extended DAG (`F0401`).
-//! * [`check_level_schedule`] re-derives every partition's dependency
-//!   level from the plan alone and checks that the LPT bin schedule is
-//!   an exact, level-faithful cover within the thread budget (`F0402`),
-//!   over a cost table of the right cardinality with no zero entries
-//!   (`F0403`).
+//! [`check_activity_merge`] replays an [`ActivityMergeRecord`] log
+//! from the structural baseline partitioning and re-checks every side
+//! condition with this crate's own code — endpoint liveness, the hot
+//! threshold (re-aggregated from the prior), the size cap, and the
+//! no-new-cycle condition via an independent indirect-path search over
+//! the replayed partition graph. The replay must land exactly on the
+//! claimed final assignment, which is then re-proved an exact acyclic
+//! cover of the extended DAG (`F0401`).
 //!
 //! As everywhere in this crate, the builders' own checks are never
 //! called; the one shared piece is [`Partitioning::merge`] itself, the
@@ -25,9 +18,7 @@ use essent_core::diag::{codes, Diagnostic, Report};
 use essent_core::partition::{
     partition, ActivityMergeParams, ActivityMergeRecord, ActivityPrior, Partitioning,
 };
-use essent_core::plan::CcssPlan;
 use essent_core::DagView;
-use essent_sim::par::{CostModel, LevelSchedule};
 use std::collections::BTreeSet;
 
 /// Is there a path `from -> ... -> to` through at least one intermediate
@@ -203,145 +194,6 @@ pub fn check_activity_merge(
                 live.len()
             ),
         ));
-    }
-    report
-}
-
-/// Audits an LPT [`LevelSchedule`] against an independent re-derivation
-/// of the plan's dependency levels: exact cover, level-faithful binning,
-/// bin counts within the thread budget (`F0402`); cost table cardinality
-/// and positivity (`F0403`).
-pub fn check_level_schedule(
-    plan: &CcssPlan,
-    sched: &LevelSchedule,
-    cost: &CostModel,
-    threads: usize,
-) -> Report {
-    let mut report = Report::new();
-    let np = plan.partitions.len();
-    if cost.costs.len() != np {
-        report.push(Diagnostic::error(
-            codes::COST_RANGE,
-            format!(
-                "cost table has {} entries for {np} scheduled partitions",
-                cost.costs.len()
-            ),
-        ));
-        // Cardinality mismatch poisons every per-entry check below.
-        return report;
-    }
-    for (sched_idx, &c) in cost.costs.iter().enumerate() {
-        if c == 0 {
-            report.push(
-                Diagnostic::error(
-                    codes::COST_RANGE,
-                    format!("partition p{sched_idx} has zero estimated cost; the floor is 1"),
-                )
-                .with_partition(sched_idx),
-            );
-        }
-    }
-
-    // Independent level derivation: combinational trigger edges always
-    // point forward in schedule order; elided-register wakes order the
-    // reader before the writer within a cycle.
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); np];
-    for (s, part) in plan.partitions.iter().enumerate() {
-        for o in &part.outputs {
-            for &c in &o.consumers {
-                if (c as usize) > s {
-                    preds[c as usize].push(s as u32);
-                }
-            }
-        }
-        for &ri in &part.elided_regs {
-            for &reader in &plan.reg_plans[ri].wake_on_change {
-                if (reader as usize) != s {
-                    preds[s].push(reader);
-                }
-            }
-        }
-    }
-    let mut level_of = vec![0u32; np];
-    for s in 0..np {
-        level_of[s] = preds[s]
-            .iter()
-            .map(|&p| level_of[p as usize] + 1)
-            .max()
-            .unwrap_or(0);
-    }
-    let nlevels = level_of.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-    if sched.levels.len() != nlevels {
-        report.push(Diagnostic::error(
-            codes::BIN_COVER,
-            format!(
-                "schedule has {} levels, dependency analysis derives {nlevels}",
-                sched.levels.len()
-            ),
-        ));
-        return report;
-    }
-
-    let mut seen = vec![0usize; np];
-    for (lvl, lp) in sched.levels.iter().enumerate() {
-        if lp.serial && lp.bins.len() != 1 {
-            report.push(Diagnostic::error(
-                codes::BIN_COVER,
-                format!("serial level {lvl} has {} bins, expected 1", lp.bins.len()),
-            ));
-        }
-        if !lp.serial && (lp.bins.len() < 2 || lp.bins.len() > threads.max(1)) {
-            report.push(Diagnostic::error(
-                codes::BIN_COVER,
-                format!(
-                    "parallel level {lvl} has {} bins for {threads} threads",
-                    lp.bins.len()
-                ),
-            ));
-        }
-        for bin in &lp.bins {
-            for &s in bin {
-                if s as usize >= np {
-                    report.push(Diagnostic::error(
-                        codes::BIN_COVER,
-                        format!("level {lvl} bins unknown partition p{s} ({np} scheduled)"),
-                    ));
-                    continue;
-                }
-                seen[s as usize] += 1;
-                if level_of[s as usize] as usize != lvl {
-                    report.push(
-                        Diagnostic::error(
-                            codes::BIN_COVER,
-                            format!(
-                                "partition p{s} binned at level {lvl}, dependency level is {}",
-                                level_of[s as usize]
-                            ),
-                        )
-                        .with_partition(s as usize),
-                    );
-                }
-            }
-        }
-    }
-    for (s, &count) in seen.iter().enumerate() {
-        if count == 0 {
-            report.push(
-                Diagnostic::error(
-                    codes::BIN_COVER,
-                    format!("partition p{s} missing from every bin"),
-                )
-                .with_partition(s),
-            );
-        } else if count > 1 {
-            report.push(
-                Diagnostic::error(
-                    codes::BIN_COVER,
-                    format!("partition p{s} appears in {count} bins"),
-                )
-                .with_partition(s),
-            );
-        }
     }
     report
 }

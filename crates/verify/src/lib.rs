@@ -15,7 +15,7 @@
 //! | schedule verifier | [`check_plan`] | `V____` |
 //! | bytecode verifier | [`check_layout`] / [`check_blocks`] | `B____` |
 //! | profiler wiring | [`check_profile`] | `P____` |
-//! | profile feedback | [`check_activity_merge`] / [`check_level_schedule`] | `F____` |
+//! | profile feedback | [`check_activity_merge`] | `F____` |
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
 //! | dependence / dataflow schedule | [`check_depgraph`] | `S____` |
 //! | native-code (JIT) audit | [`check_jit`] | `J____` |
@@ -43,7 +43,7 @@ pub use depgraph::check_depgraph;
 pub use essent_core::depgraph::DataflowSchedule;
 pub use essent_core::diag::{DiagCode, Diagnostic, Report, Severity};
 pub use essent_core::plan::MayOverlap;
-pub use feedback::{check_activity_merge, check_level_schedule};
+pub use feedback::check_activity_merge;
 pub use footprint::{check_footprint, Footprint, WordSet};
 pub use jit::check_jit;
 pub use lint::lint_netlist;
@@ -52,13 +52,10 @@ pub use schedule::check_plan;
 
 use essent_core::depgraph::{synthesize_dataflow, DepGraph};
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
-// `plan_levels` is the runtime's leveling (moved into `essent-core` so
-// both `essent-sim` and this crate name one canonical artifact to
-// audit); the independent re-derivation lives in `footprint::derive_levels`.
-use essent_core::plan::{extended_dag, plan_levels, CcssPlan, PlanOptions};
+use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_netlist::Netlist;
 use essent_sim::compile::{compile_plan, Layout};
-use essent_sim::par::{CostModel, LevelSchedule};
+use essent_sim::par::CostModel;
 use essent_sim::step1::{lower_tier1, OutSpec, Tier1Program};
 use essent_sim::EngineConfig;
 
@@ -159,12 +156,6 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         &fb_plan,
         &essent_sim::ProfileWiring::for_plan(netlist, &fb_plan),
     ));
-    // Audit the LPT schedule the parallel engine would run over this
-    // plan (static costs; the audit is cost-agnostic beyond F0403).
-    let fb_blocks = compile_plan(netlist, &layout, &fb_plan, config);
-    let cost = CostModel::build(&fb_plan, &fb_blocks, None);
-    let sched = LevelSchedule::build(&plan_levels(&fb_plan), &cost, 4);
-    report.merge(check_level_schedule(&fb_plan, &sched, &cost, 4));
 
     // --- R05: footprint / race-freedom layer -------------------------
     // Analyzed over the exact plan shape the parallel engine runs:
@@ -211,10 +202,10 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     report.merge(fp_report);
 
     // --- S06: dependence / dataflow-schedule layer --------------------
-    // Synthesize the schedule exactly as the parallel engine would at 4
-    // threads (the runtime's own dependence analysis + cost model), then
-    // prove it against obligations re-derived from the word-level
-    // footprints alone.
+    // Synthesize the N-worker schedule exactly as the parallel engine
+    // does when it fans out at 4 threads (the runtime's own dependence
+    // analysis + cost model), then prove it against obligations
+    // re-derived from the word-level footprints alone.
     let graph = DepGraph::derive(netlist, &par_plan);
     let par_cost = CostModel::build(&par_plan, &par_blocks, None);
     let dsched = synthesize_dataflow(&par_plan, &graph, &par_cost.costs, 4);

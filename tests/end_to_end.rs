@@ -160,3 +160,39 @@ fn vcd_dump_of_soc_is_well_formed() {
     assert!(text.contains("$enddefinitions"));
     assert!(text.contains("#19"));
 }
+
+#[test]
+fn parallel_engine_stays_on_one_worker_for_r18_pchase() {
+    // Chasing pointers, r18 evaluates a few hundred ops per cycle, far
+    // below the fan-out crossover: every `step` call must stay on the
+    // calling thread, and the run must match the sequential engine.
+    let netlist = essent::compile(&generate_soc(&SocConfig::r18())).unwrap();
+    let workload = pchase(64, 300).unwrap();
+    let config = EngineConfig {
+        capture_printf: false,
+        ..EngineConfig::default()
+    };
+    let mut seq = EssentSim::new(&netlist, &config);
+    let expect = run_workload(&mut seq, &workload, 1_000_000);
+    assert!(expect.finished);
+
+    let mut par = essent::sim::ParEssentSim::new(&netlist, &config, 2);
+    for (i, &word) in workload.words.iter().enumerate() {
+        par.write_mem("imem", i, Bits::from_u64(word as u64, 32));
+    }
+    par.poke("reset", Bits::from_u64(1, 1));
+    par.step(2);
+    par.poke("reset", Bits::from_u64(0, 1));
+    // Many calls, each long enough to fan out if the activity paid.
+    while par.halted().is_none() && par.cycle() < 1_000_000 {
+        par.step(1_000);
+    }
+    assert_eq!(par.fanout_cycles(), 0);
+    assert!(
+        par.dataflow_schedule().is_none(),
+        "nothing built for fan-out"
+    );
+    assert_eq!(par.cycle() - 2, expect.cycles);
+    assert_eq!(par.peek("instret_r"), seq.peek("instret_r"));
+    assert_eq!(par.peek("tohost_r"), seq.peek("tohost_r"));
+}
