@@ -14,39 +14,67 @@ use crate::partition::Partitioning;
 /// Returns `true` when merging `a` and `b` keeps the partition graph
 /// acyclic.
 ///
-/// Runs a forward search from each side's successors (excluding the other
-/// side) looking for the other side; because the partition graph is
-/// acyclic, at most one direction can have a path, but both are checked
-/// since the pair may have no direct edge.
+/// One-shot form of [`LegalityCheck::merge_legal`]; a merge phase that
+/// asks many times should keep one [`LegalityCheck`] instead.
 pub fn merge_legal(parts: &Partitioning, a: usize, b: usize) -> bool {
-    debug_assert!(a != b);
-    !indirect_path(parts, a, b) && !indirect_path(parts, b, a)
+    LegalityCheck::default().merge_legal(parts, a, b)
 }
 
-/// `true` if a path `from -> X -> ... -> to` exists with every
-/// intermediate partition distinct from both endpoints.
-fn indirect_path(parts: &Partitioning, from: usize, to: usize) -> bool {
-    let mut visited = vec![false; parts.succs.len()];
-    let mut stack: Vec<usize> = parts.succs[from]
-        .iter()
-        .copied()
-        .filter(|&s| s != to && s != from)
-        .collect();
-    for &s in &stack {
-        visited[s] = true;
+/// Scratch space for repeated legality queries: a generation-stamped
+/// visited set (bumping the generation clears it in O(1)) and the
+/// search stack, both reused across calls.
+#[derive(Debug, Default)]
+pub struct LegalityCheck {
+    stamp: Vec<u32>,
+    generation: u32,
+    stack: Vec<usize>,
+}
+
+impl LegalityCheck {
+    /// Returns `true` when merging `a` and `b` keeps the partition graph
+    /// acyclic.
+    ///
+    /// Runs a forward search from each side's successors (excluding the
+    /// other side) looking for the other side; because the partition
+    /// graph is acyclic, at most one direction can have a path, but both
+    /// are checked since the pair may have no direct edge.
+    pub fn merge_legal(&mut self, parts: &Partitioning, a: usize, b: usize) -> bool {
+        debug_assert!(a != b);
+        !self.indirect_path(parts, a, b) && !self.indirect_path(parts, b, a)
     }
-    while let Some(p) = stack.pop() {
-        for &s in parts.succs[p].iter() {
-            if s == to {
-                return true;
-            }
-            if s != from && !visited[s] {
-                visited[s] = true;
-                stack.push(s);
+
+    /// `true` if a path `from -> X -> ... -> to` exists with every
+    /// intermediate partition distinct from both endpoints.
+    fn indirect_path(&mut self, parts: &Partitioning, from: usize, to: usize) -> bool {
+        if self.stamp.len() < parts.succs.len() {
+            self.stamp.resize(parts.succs.len(), 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        let generation = self.generation;
+        self.stack.clear();
+        for &s in parts.succs[from].iter() {
+            if s != to && s != from {
+                self.stamp[s] = generation;
+                self.stack.push(s);
             }
         }
+        while let Some(p) = self.stack.pop() {
+            for &s in parts.succs[p].iter() {
+                if s == to {
+                    return true;
+                }
+                if s != from && self.stamp[s] != generation {
+                    self.stamp[s] = generation;
+                    self.stack.push(s);
+                }
+            }
+        }
+        false
     }
-    false
 }
 
 #[cfg(test)]
@@ -113,6 +141,28 @@ mod tests {
         let mut bad = singletons(&dag);
         bad.merge(0, 3);
         assert!(bad.validate(&dag).is_err());
+    }
+
+    /// One checker reused across every query (and across a wrap of its
+    /// generation counter) answers as fresh one-shot queries do.
+    #[test]
+    fn reused_checker_matches_one_shot_queries() {
+        let edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 5), (0, 4), (4, 5)];
+        let dag = DagView::from_edges(6, &edges);
+        let parts = singletons(&dag);
+        let mut check = LegalityCheck {
+            generation: u32::MAX - 5,
+            ..LegalityCheck::default()
+        };
+        for _ in 0..3 {
+            for a in 0..6 {
+                for b in (0..6).filter(|&b| b != a) {
+                    let want = merge_legal(&parts, a, b);
+                    assert_eq!(check.merge_legal(&parts, a, b), want, "({a}, {b})");
+                }
+            }
+        }
+        assert!(check.generation < 1000, "generation wrapped");
     }
 
     #[test]

@@ -31,9 +31,9 @@
 
 use crate::dag::DagView;
 use crate::diag::{codes, Diagnostic, Report};
-use crate::legality;
+use crate::legality::LegalityCheck;
 use crate::mffc;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// An assignment of every node to exactly one partition, with the
@@ -123,7 +123,7 @@ impl Partitioning {
     /// and the partition graph.
     ///
     /// The caller is responsible for having checked
-    /// [`legality::merge_legal`]; this method only performs the move.
+    /// [`crate::legality::merge_legal`]; this method only performs the move.
     ///
     /// # Panics
     ///
@@ -317,8 +317,8 @@ pub fn partition(dag: &DagView, c_p: usize) -> Partitioning {
     let mut parts = mffc::mffc_decompose(dag);
     parts.attach(dag);
     merge_single_parent(&mut parts);
-    merge_small_siblings(&mut parts, dag, c_p);
-    merge_small_into_any_sibling(&mut parts, dag, c_p);
+    merge_small_siblings(&mut parts, c_p);
+    merge_small_into_any_sibling(&mut parts, c_p);
     parts
 }
 
@@ -355,34 +355,299 @@ pub fn merge_single_parent(parts: &mut Partitioning) {
 /// each round scores every candidate by the number of partition-level cut
 /// edges the merge would eliminate (shared parents + direct edges, which
 /// "simultaneously maximizes the number of partitions in a merge as well
-/// as the number of common ancestors"), merges greedily in score order,
-/// and repeats until no legal merge remains.
-pub fn merge_small_siblings(parts: &mut Partitioning, dag: &DagView, c_p: usize) {
-    let _ = dag;
-    loop {
-        let mut candidates = sibling_pairs(parts, c_p, true);
-        if candidates.is_empty() {
-            return;
+/// as the number of common ancestors") on the round's starting graph,
+/// merges greedily in score order (highest first, then `(a, b)`
+/// ascending), and repeats until no legal merge remains. Each round
+/// generates its candidates in that order without listing the pairs a
+/// high-fan-out parent induces (see `SiblingRound`).
+pub fn merge_small_siblings(parts: &mut Partitioning, c_p: usize) {
+    merge_small_siblings_with(parts, c_p, HUB_CHILDREN);
+}
+
+/// [`merge_small_siblings`] with the hub threshold as a parameter, so the
+/// tests can drive the lazy hub path on small graphs.
+fn merge_small_siblings_with(parts: &mut Partitioning, c_p: usize, hub_children: usize) {
+    let mut legal = LegalityCheck::default();
+    while SiblingRound::new(parts, c_p, hub_children).merge(parts, c_p, &mut legal) {}
+}
+
+/// A parent with more small children than this is a *hub*: Phase B never
+/// lists the sibling pairs a hub induces (on boom two hubs feed ~1,570
+/// small partitions each, ~1.2M pairs for ~1,200 merges).
+const HUB_CHILDREN: usize = 64;
+/// Past this many distinct hub-parent sets, a round treats no parent as
+/// a hub and lists every pair.
+const MAX_HUB_CLASSES: usize = 64;
+const NO_CLASS: u32 = u32::MAX;
+
+/// One Phase B round's candidates, generated in merge order.
+///
+/// A candidate pair either shares a non-hub parent or is joined by a
+/// direct edge — then it is *listed*, with its score computed up front —
+/// or it shares only hub parents and no edge, and its score is the number
+/// of hub parents the two have in common. Small partitions with the same
+/// set of hub parents form a *class*, so that score is a function of the
+/// two classes. Per score level and per `a` ascending, the merge walks
+/// `a`'s listed pairs at that level together with the members above `a`
+/// of every class at that distance, skipping members already dead or
+/// grown to `c_p` through per-class skip pointers. Merges only kill or
+/// grow partitions, so a skipped member never becomes a candidate again,
+/// and the order is exactly score descending, then `(a, b)` ascending.
+struct SiblingRound {
+    /// The round's small partitions, ascending.
+    smalls: Vec<usize>,
+    /// The listed pairs `(b, score)` of `smalls[k]`, `b` ascending, are
+    /// `listed[listed_start[k]..listed_start[k + 1]]`.
+    listed_start: Vec<usize>,
+    listed: Vec<(u32, u32)>,
+    /// Per partition: its class, `NO_CLASS` for partitions that are not
+    /// small or have no hub parent.
+    class_of: Vec<u32>,
+    /// Per partition: its index in its class's `members`.
+    slot: Vec<u32>,
+    classes: Vec<HubClass>,
+    /// `shared[i * classes.len() + j]`: hub parents classes `i` and `j`
+    /// have in common.
+    shared: Vec<u32>,
+    max_score: usize,
+}
+
+/// The small partitions with one set of hub parents.
+struct HubClass {
+    /// Ascending.
+    members: Vec<u32>,
+    /// Skip pointers over `members` plus one sentinel: `next[i] == i`
+    /// while member `i` is live and small; a removed slot points right.
+    next: Vec<u32>,
+}
+
+impl HubClass {
+    /// The first slot at or after `i` whose member is still live and small
+    /// (`members.len()` if none), compressing the path on the way.
+    fn find(&mut self, i: usize) -> usize {
+        let mut root = i;
+        while self.next[root] as usize != root {
+            root = self.next[root] as usize;
         }
-        // Highest score first; ties broken by ids for determinism.
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let mut at = i;
+        while at != root {
+            at = std::mem::replace(&mut self.next[at], root as u32) as usize;
+        }
+        root
+    }
+}
+
+impl SiblingRound {
+    fn new(parts: &Partitioning, c_p: usize, hub_children: usize) -> SiblingRound {
+        let n = parts.members.len();
+        assert!(u32::try_from(n).is_ok(), "partition ids exceed u32");
+        let small: Vec<bool> = (0..n)
+            .map(|p| parts.alive[p] && parts.members[p].len() < c_p)
+            .collect();
+        let smalls: Vec<usize> = (0..n).filter(|&p| small[p]).collect();
+        let mut hub = vec![false; n];
+        for p in parts.live_partitions() {
+            hub[p] = parts.succs[p].iter().filter(|&&c| small[c]).count() > hub_children;
+        }
+
+        // Classes: small partitions keyed by their hub parents.
+        let mut key_of: BTreeMap<Vec<usize>, u32> = BTreeMap::new();
+        let mut keys: Vec<Vec<usize>> = Vec::new();
+        let mut class_of = vec![NO_CLASS; n];
+        let mut slot = vec![0u32; n];
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for &a in &smalls {
+            let hubs: Vec<usize> = parts.preds[a].iter().copied().filter(|&p| hub[p]).collect();
+            if hubs.is_empty() {
+                continue;
+            }
+            let c = *key_of.entry(hubs.clone()).or_insert_with(|| {
+                keys.push(hubs);
+                members.push(Vec::new());
+                (keys.len() - 1) as u32
+            });
+            class_of[a] = c;
+            slot[a] = members[c as usize].len() as u32;
+            members[c as usize].push(a as u32);
+        }
+        if keys.len() > MAX_HUB_CLASSES {
+            return SiblingRound::new(parts, c_p, usize::MAX);
+        }
+        let q = keys.len();
+        let mut shared = vec![0u32; q * q];
+        let mut max_score = 0;
+        for i in 0..q {
+            for j in 0..q {
+                let common = keys[i].iter().filter(|h| keys[j].binary_search(h).is_ok());
+                shared[i * q + j] = common.count() as u32;
+                max_score = max_score.max(shared[i * q + j] as usize);
+            }
+        }
+        let hub_shared = |a: usize, b: usize| match (class_of[a], class_of[b]) {
+            (NO_CLASS, _) | (_, NO_CLASS) => 0,
+            (i, j) => shared[i as usize * q + j as usize] as usize,
+        };
+
+        // Listed pairs: from each `a`, count the non-hub parents it shares
+        // with every later sibling, then add the direct-edge siblings.
+        let mut listed_start = Vec::with_capacity(smalls.len() + 1);
+        let mut listed = Vec::new();
+        let mut light = vec![0usize; n];
+        let mut sibs: Vec<usize> = Vec::new();
+        for &a in &smalls {
+            listed_start.push(listed.len());
+            for &parent in parts.preds[a].iter().filter(|&&p| !hub[p]) {
+                for &b in parts.succs[parent].range(a + 1..) {
+                    if small[b] {
+                        if light[b] == 0 {
+                            sibs.push(b);
+                        }
+                        light[b] += 1;
+                    }
+                }
+            }
+            // The partition graph is acyclic: `b` is in at most one of these.
+            let direct = parts.succs[a]
+                .range(a + 1..)
+                .chain(parts.preds[a].range(a + 1..));
+            sibs.extend(direct.filter(|&&b| small[b] && light[b] == 0));
+            // One ascending run per source: the run-adaptive stable sort
+            // merges them in near-linear time.
+            sibs.sort();
+            for &b in &sibs {
+                let parents = std::mem::take(&mut light[b]) + hub_shared(a, b);
+                if parents == 0 {
+                    continue;
+                }
+                let direct =
+                    parts.succs[a].contains(&b) as usize + parts.succs[b].contains(&a) as usize;
+                max_score = max_score.max(parents + direct);
+                listed.push((b as u32, (parents + direct) as u32));
+            }
+            sibs.clear();
+        }
+        listed_start.push(listed.len());
+
+        let classes = members
+            .into_iter()
+            .map(|members| HubClass {
+                next: (0..=members.len() as u32).collect(),
+                members,
+            })
+            .collect();
+        SiblingRound {
+            smalls,
+            listed_start,
+            listed,
+            class_of,
+            slot,
+            classes,
+            shared,
+            max_score,
+        }
+    }
+
+    /// Marks a partition that died or grew to `c_p` as no candidate.
+    fn remove(&mut self, p: usize) {
+        if self.class_of[p] != NO_CLASS {
+            let class = &mut self.classes[self.class_of[p] as usize];
+            let i = self.slot[p] as usize;
+            class.next[i] = i as u32 + 1;
+        }
+    }
+
+    /// Runs the round's merges; `true` if any merge happened.
+    fn merge(mut self, parts: &mut Partitioning, c_p: usize, legal: &mut LegalityCheck) -> bool {
+        let live_small =
+            |parts: &Partitioning, p: usize| parts.is_alive(p) && parts.members(p).len() < c_p;
+        let q = self.classes.len();
+        let listed = std::mem::take(&mut self.listed);
         let mut merged_any = false;
-        for (_score, a, b) in candidates {
-            if !parts.is_alive(a) || !parts.is_alive(b) {
-                continue;
-            }
-            // Both must still be small: merges grow partitions.
-            if parts.members(a).len() >= c_p || parts.members(b).len() >= c_p {
-                continue;
-            }
-            if legality::merge_legal(parts, a, b) {
-                parts.merge(a, b);
-                merged_any = true;
+        let mut is_listed = vec![false; parts.members.len()];
+        // Class streams of the current `a`: (class, slot of its next member).
+        let mut heads: Vec<(usize, usize)> = Vec::new();
+        for score in (1..=self.max_score).rev() {
+            for k in 0..self.smalls.len() {
+                let a = self.smalls[k];
+                if !live_small(parts, a) {
+                    continue;
+                }
+                heads.clear();
+                if self.class_of[a] != NO_CLASS {
+                    let row = self.class_of[a] as usize * q;
+                    for c in 0..q {
+                        if self.shared[row + c] as usize == score {
+                            let class = &mut self.classes[c];
+                            let start = class.members.partition_point(|&m| m as usize <= a);
+                            let at = class.find(start);
+                            if at < class.members.len() {
+                                heads.push((c, at));
+                            }
+                        }
+                    }
+                }
+                let range = self.listed_start[k]..self.listed_start[k + 1];
+                let mut at_level = range
+                    .clone()
+                    .filter(|&i| listed[i].1 as usize == score)
+                    .peekable();
+                if heads.is_empty() && at_level.peek().is_none() {
+                    continue;
+                }
+                for i in range.clone() {
+                    is_listed[listed[i].0 as usize] = true;
+                }
+                loop {
+                    // The smallest next `b` over the listed pairs at this
+                    // level and the class streams.
+                    let from_list = at_level.peek().map(|&i| listed[i].0 as usize);
+                    let from_class = heads
+                        .iter()
+                        .enumerate()
+                        .map(|(h, &(c, at))| (self.classes[c].members[at] as usize, h))
+                        .min();
+                    let b = match (from_list, from_class) {
+                        (None, None) => break,
+                        (Some(b), None) => {
+                            at_level.next();
+                            b
+                        }
+                        (Some(b), Some((bc, _))) if b < bc => {
+                            at_level.next();
+                            b
+                        }
+                        (_, Some((b, h))) => {
+                            let (c, at) = heads[h];
+                            let next = self.classes[c].find(at + 1);
+                            if next < self.classes[c].members.len() {
+                                heads[h].1 = next;
+                            } else {
+                                heads.swap_remove(h);
+                            }
+                            // A listed pair is taken at its own score.
+                            if is_listed[b] {
+                                continue;
+                            }
+                            b
+                        }
+                    };
+                    if !live_small(parts, b) || !legal.merge_legal(parts, a, b) {
+                        continue;
+                    }
+                    parts.merge(a, b);
+                    merged_any = true;
+                    self.remove(b);
+                    if parts.members(a).len() >= c_p {
+                        self.remove(a);
+                        break;
+                    }
+                }
+                for i in range {
+                    is_listed[listed[i].0 as usize] = false;
+                }
             }
         }
-        if !merged_any {
-            return;
-        }
+        merged_any
     }
 }
 
@@ -390,8 +655,8 @@ pub fn merge_small_siblings(parts: &mut Partitioning, dag: &DagView, c_p: usize)
 /// sibling (small or large), choosing the sibling with the largest
 /// fraction of shared input partitions (the paper's "fraction of input
 /// signals in common" at the granularity the partition graph retains).
-pub fn merge_small_into_any_sibling(parts: &mut Partitioning, dag: &DagView, c_p: usize) {
-    let _ = dag;
+pub fn merge_small_into_any_sibling(parts: &mut Partitioning, c_p: usize) {
+    let mut legal = LegalityCheck::default();
     loop {
         let mut merged_any = false;
         let smalls: Vec<usize> = parts
@@ -431,7 +696,7 @@ pub fn merge_small_into_any_sibling(parts: &mut Partitioning, dag: &DagView, c_p
                 }
             }
             if let Some((_score, sib)) = best {
-                if legality::merge_legal(parts, sib, p) {
+                if legal.merge_legal(parts, sib, p) {
                     parts.merge(sib, p);
                     merged_any = true;
                 }
@@ -605,6 +870,7 @@ pub fn activity_merge(
     params: &ActivityMergeParams,
 ) -> Vec<ActivityMergeRecord> {
     let mut log = Vec::new();
+    let mut legal = LegalityCheck::default();
     loop {
         // Enumerate hot directly-connected pairs. Rates are recomputed
         // each round: a merge changes the aggregate of the survivor.
@@ -658,7 +924,7 @@ pub fn activity_merge(
             if parts.members(a).len() + parts.members(b).len() > params.max_size {
                 continue;
             }
-            if legality::merge_legal(parts, a, b) {
+            if legal.merge_legal(parts, a, b) {
                 parts.merge(a, b);
                 log.push(ActivityMergeRecord {
                     kept: a,
@@ -689,34 +955,6 @@ pub fn partition_with_prior(
     let mut parts = partition(dag, c_p);
     let log = activity_merge(&mut parts, prior, params);
     (parts, log)
-}
-
-/// Enumerates sibling pairs `(score, a, b)` where both are small (and,
-/// when `both_small`, both below `c_p`). Score = shared parents + direct
-/// partition edges between the two.
-fn sibling_pairs(parts: &Partitioning, c_p: usize, both_small: bool) -> Vec<(usize, usize, usize)> {
-    let mut pairs = Vec::new();
-    let mut seen = BTreeSet::new();
-    for parent in parts.live_partitions() {
-        let children: Vec<usize> = parts.succs[parent]
-            .iter()
-            .copied()
-            .filter(|&c| parts.is_alive(c) && (!both_small || parts.members(c).len() < c_p))
-            .collect();
-        for i in 0..children.len() {
-            for j in (i + 1)..children.len() {
-                let (a, b) = (children[i].min(children[j]), children[i].max(children[j]));
-                if !seen.insert((a, b)) {
-                    continue;
-                }
-                let shared = parts.preds[a].intersection(&parts.preds[b]).count();
-                let direct =
-                    parts.succs[a].contains(&b) as usize + parts.succs[b].contains(&a) as usize;
-                pairs.push((shared + direct, a, b));
-            }
-        }
-    }
-    pairs
 }
 
 #[cfg(test)]
@@ -886,6 +1124,45 @@ mod tests {
         assert!((prior.part_rate(&parts, 0) - 0.6).abs() < 1e-12);
         assert!((prior.part_cost(&parts, 0) - 16.0).abs() < 1e-12);
         assert!(ActivityPrior::neutral(2).part_rate(&parts, 0).is_nan());
+    }
+
+    /// The lazy hub path takes the same merges as listing every pair: on
+    /// random graphs with high-fan-out sources, every hub threshold (0
+    /// makes every parent a hub and often overflows `MAX_HUB_CLASSES`)
+    /// reproduces the all-listed assignment.
+    #[test]
+    fn hub_threshold_does_not_change_phase_b() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..150u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(8usize..120);
+            let hubs = rng.gen_range(1usize..5);
+            let mut edges = Vec::new();
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if rng.gen_bool(if a < hubs { 0.7 } else { 0.05 }) {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let dag = DagView::from_edges(n, &edges);
+            let mut start = mffc::mffc_decompose(&dag);
+            start.attach(&dag);
+            merge_single_parent(&mut start);
+            for c_p in [2, 8, 32] {
+                let mut listed = start.clone();
+                merge_small_siblings_with(&mut listed, c_p, usize::MAX);
+                for hub_children in [0, 1, 3, 8] {
+                    let mut lazy = start.clone();
+                    merge_small_siblings_with(&mut lazy, c_p, hub_children);
+                    assert_eq!(
+                        lazy.assignment(),
+                        listed.assignment(),
+                        "seed {seed}, c_p {c_p}, hubs above {hub_children} children"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! cycle. [`analyze`] closes those feedback arcs by fixpoint iteration —
 //! registers start at their reset value (all engines zero-initialize
 //! state), each sweep joins the next-value's abstract value into the
-//! register's, and iteration stops when no register changes.
+//! register's, and iteration stops when no register changes. Sweeps after
+//! the first re-evaluate only signals whose inputs changed, which yields
+//! exactly what a full recompute would.
 //!
 //! Joins only *widen* register values, but the range component can climb
 //! long chains (a counter's interval grows by one per sweep), so after
@@ -29,7 +31,7 @@ pub mod transfer;
 pub use absval::AbsVal;
 
 use crate::graph;
-use crate::netlist::{Netlist, SignalDef, SignalId};
+use crate::netlist::{Netlist, Signal, SignalDef, SignalId};
 use essent_bits::Bits;
 
 /// Sweep after which still-changing registers get their range widened.
@@ -82,15 +84,36 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
         .map(|r| AbsVal::exact(&Bits::zero(r.width), r.signed))
         .collect();
 
+    // All registers count as changed on the first sweep: every signal is
+    // evaluated once from scratch.
+    let mut reg_changed = vec![true; reg_abs.len()];
+    let mut changed = vec![false; values.len()];
+    // A register whose last join left it unchanged and whose next-value
+    // did not change since would join to itself again (joins are
+    // deterministic), so it is skipped.
+    let mut settled = vec![false; reg_abs.len()];
     let mut sweeps = 0;
     loop {
+        sweep(
+            netlist,
+            &order,
+            &reg_abs,
+            &reg_changed,
+            sweeps == 0,
+            &mut values,
+            &mut changed,
+        );
         sweeps += 1;
-        sweep(netlist, &order, &reg_abs, &mut values);
-        let mut changed = false;
+        let mut any = false;
         for (i, reg) in netlist.regs().iter().enumerate() {
+            reg_changed[i] = false;
+            if settled[i] && !changed[reg.next.index()] {
+                continue;
+            }
             let next = transfer::cast(&values[reg.next.index()], reg.width, reg.signed);
             let mut joined = reg_abs[i].join(&next);
-            if joined != reg_abs[i] {
+            settled[i] = joined == reg_abs[i];
+            if !settled[i] {
                 if sweeps >= TOP_WIDEN_SWEEP {
                     joined = AbsVal::top(reg.width, reg.signed);
                 } else if sweeps >= RANGE_WIDEN_SWEEP {
@@ -98,11 +121,12 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
                 }
                 if joined != reg_abs[i] {
                     reg_abs[i] = joined;
-                    changed = true;
+                    reg_changed[i] = true;
+                    any = true;
                 }
             }
         }
-        if !changed {
+        if !any {
             break;
         }
         if sweeps >= MAX_SWEEPS {
@@ -110,8 +134,17 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
             for (i, reg) in netlist.regs().iter().enumerate() {
                 reg_abs[i] = AbsVal::top(reg.width, reg.signed);
             }
+            reg_changed.fill(true);
+            sweep(
+                netlist,
+                &order,
+                &reg_abs,
+                &reg_changed,
+                false,
+                &mut values,
+                &mut changed,
+            );
             sweeps += 1;
-            sweep(netlist, &order, &reg_abs, &mut values);
             break;
         }
     }
@@ -124,22 +157,54 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
     })
 }
 
-/// One forward pass in topological order.
-fn sweep(netlist: &Netlist, order: &[SignalId], reg_abs: &[AbsVal], values: &mut [AbsVal]) {
+/// One forward pass in topological order that re-evaluates only what can
+/// have changed since the previous pass: a `RegOut` whose register's
+/// value changed (`reg_changed`), and an `Op` one of whose operands
+/// changed earlier in this pass. `Input`, `Const` and `MemRead` depend on
+/// nothing and are evaluated on the `first` pass only, where every signal
+/// is evaluated. Transfer functions are deterministic, so a skipped
+/// signal keeps exactly the value a full recompute would give it.
+/// `changed` is overwritten with which values differ from the previous
+/// pass.
+fn sweep(
+    netlist: &Netlist,
+    order: &[SignalId],
+    reg_abs: &[AbsVal],
+    reg_changed: &[bool],
+    first: bool,
+    values: &mut [AbsVal],
+    changed: &mut [bool],
+) {
     for &id in order {
         let sig = netlist.signal(id);
         let v = match &sig.def {
-            SignalDef::Input => AbsVal::top(sig.width, sig.signed),
-            SignalDef::Const(c) => AbsVal::exact(c, sig.signed),
-            SignalDef::RegOut(r) => transfer::cast(&reg_abs[r.index()], sig.width, sig.signed),
-            // Memory contents are not tracked; reads are opaque.
-            SignalDef::MemRead { .. } => AbsVal::top(sig.width, sig.signed),
-            SignalDef::Op(op) => {
-                let srcs: Vec<&AbsVal> = op.args.iter().map(|a| &values[a.index()]).collect();
-                transfer::transfer(op.kind, &op.params, sig.width, sig.signed, &srcs)
+            _ if first => eval(sig, reg_abs, values),
+            SignalDef::RegOut(r) if reg_changed[r.index()] => eval(sig, reg_abs, values),
+            SignalDef::Op(op) if op.args.iter().any(|a| changed[a.index()]) => {
+                eval(sig, reg_abs, values)
+            }
+            _ => {
+                changed[id.index()] = false;
+                continue;
             }
         };
+        changed[id.index()] = v != values[id.index()];
         values[id.index()] = v;
+    }
+}
+
+/// The transfer function of one signal over the current operand values.
+fn eval(sig: &Signal, reg_abs: &[AbsVal], values: &[AbsVal]) -> AbsVal {
+    match &sig.def {
+        SignalDef::Input => AbsVal::top(sig.width, sig.signed),
+        SignalDef::Const(c) => AbsVal::exact(c, sig.signed),
+        SignalDef::RegOut(r) => transfer::cast(&reg_abs[r.index()], sig.width, sig.signed),
+        // Memory contents are not tracked; reads are opaque.
+        SignalDef::MemRead { .. } => AbsVal::top(sig.width, sig.signed),
+        SignalDef::Op(op) => {
+            let srcs: Vec<&AbsVal> = op.args.iter().map(|a| &values[a.index()]).collect();
+            transfer::transfer(op.kind, &op.params, sig.width, sig.signed, &srcs)
+        }
     }
 }
 
