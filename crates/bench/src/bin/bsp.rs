@@ -1,6 +1,6 @@
 //! **BSP** — the parallel engine's fan-out decision, measured.
 //!
-//! [`ParEssentSim`] runs its one-worker sweep on the calling thread
+//! [`ParEssentSim`] runs [`EssentSim`]'s cycle on the calling thread
 //! until the previous `step` call's mean evaluated ops per cycle reach
 //! [`FANOUT_CROSSOVER_OPS`], and its N-worker dataflow schedule above
 //! it. This bin measures both sides of that rule:
@@ -98,9 +98,8 @@ fn measure(design: &BuiltDesign, workload: &Workload, threads: usize) -> Row {
         );
     }
     // One plan, two paths: the counters must agree exactly. (The
-    // sequential engine plans with memory-write elision and books
-    // activity checks differently, so only its architectural results
-    // are comparable.)
+    // sequential engine plans with memory-write elision, so only its
+    // architectural results are comparable.)
     assert_eq!(
         forced.counters(),
         par.counters(),

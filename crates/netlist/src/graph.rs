@@ -16,11 +16,7 @@ use crate::netlist::{Netlist, SignalId};
 /// On a combinational cycle, returns the signals of one cycle.
 pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>, Vec<SignalId>> {
     let n = netlist.signal_count();
-    let mut indegree = vec![0u32; n];
-    let fanouts = fanout_lists(netlist);
-    for (i, d) in indegree.iter_mut().enumerate() {
-        *d = netlist.deps(SignalId(i as u32)).len() as u32;
-    }
+    let (fanouts, mut indegree) = fanouts_and_indegree(netlist);
     let mut queue: Vec<SignalId> = (0..n)
         .filter(|&i| indegree[i] == 0)
         .map(|i| SignalId(i as u32))
@@ -73,15 +69,25 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>, Vec<SignalId>> {
 /// whose definition reads `a` (duplicates preserved when a signal is read
 /// twice — callers that need sets must dedup).
 pub fn fanout_lists(netlist: &Netlist) -> Vec<Vec<SignalId>> {
+    fanouts_and_indegree(netlist).0
+}
+
+/// [`fanout_lists`] plus each signal's in-degree (its dependency count,
+/// duplicates included), taken from the same walk over the dependency
+/// lists.
+fn fanouts_and_indegree(netlist: &Netlist) -> (Vec<Vec<SignalId>>, Vec<u32>) {
     let n = netlist.signal_count();
     let mut fanouts = vec![Vec::new(); n];
-    for i in 0..n {
+    let mut indegree = vec![0u32; n];
+    for (i, d) in indegree.iter_mut().enumerate() {
         let id = SignalId(i as u32);
-        for dep in netlist.deps(id) {
+        let deps = netlist.deps(id);
+        *d = deps.len() as u32;
+        for dep in deps {
             fanouts[dep.index()].push(id);
         }
     }
-    fanouts
+    (fanouts, indegree)
 }
 
 /// Tarjan's strongly-connected-components algorithm (iterative), returning

@@ -39,7 +39,7 @@ use crate::compile::{compile_plan, Block, Layout};
 use crate::engine::EngineConfig;
 use crate::machine::{run_items_raw, MemBank, WorkCounters};
 use crate::step1::{
-    item_rw, lower_tier1, run_tier1_lanes, ItemRw, OutSpec, Tier1Program, TierStats, NO_FUSE,
+    item_rw, lower_plan, run_tier1_lanes, ItemRw, Tier1Program, TierStats, NO_FUSE,
 };
 use essent_bits::{kernels, Bits};
 use essent_core::partition::partition;
@@ -203,24 +203,7 @@ impl BatchSim {
         );
         let layout = Layout::new(&netlist);
         let blocks = compile_plan(&netlist, &layout, &plan, config);
-        let fuse = config.tier1 && config.fuse_triggers && config.trigger_push;
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| {
-                    let outs: Vec<OutSpec> = part
-                        .outputs
-                        .iter()
-                        .map(|o| OutSpec {
-                            sig: o.signal,
-                            consumers: o.consumers.clone(),
-                        })
-                        .collect();
-                    lower_tier1(&netlist, block, &outs, fuse)
-                })
-                .collect()
-        });
+        let programs = lower_plan(&netlist, &plan, &blocks, config);
         let generic_rw: Vec<Vec<ItemRw>> = match &programs {
             Some(progs) => progs
                 .iter()

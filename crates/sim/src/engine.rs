@@ -9,13 +9,14 @@ use essent_netlist::SignalId;
 /// optimizations, independently switchable for the ablation study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Partitioning threshold `C_p` (paper Figure 6; default 8). Only the
-    /// ESSENT engine uses it.
+    /// Partitioning threshold `C_p` (paper Figure 6; default 8). Used by
+    /// the ESSENT, parallel and batched engines.
     pub c_p: usize,
     /// Conditional multiplexer-way evaluation (Section III-B).
     pub mux_conditional: bool,
-    /// Register/memory update elision (Section III-B1). Only the ESSENT
-    /// engine uses it.
+    /// Register/memory update elision (Section III-B1). Used by the
+    /// ESSENT, parallel and batched engines; the parallel engine elides
+    /// registers only (its memory writes run in the serial phase).
     pub elide_state: bool,
     /// Separate cold code (reset muxes, print/assert paths) from the hot
     /// path (Section III-B2's branch hints). Only the ESSENT engine uses
@@ -31,6 +32,8 @@ pub struct EngineConfig {
     /// cost the paper predicts makes pull slower on idle designs
     /// (Section III-A). State and memory changes still use wake flags in
     /// both modes (memory contents are not visible to input snapshots).
+    /// The parallel engine is push-only: there, `false` only turns
+    /// trigger fusion off.
     pub trigger_push: bool,
     /// Event-driven engine only: process events in levelized order
     /// (each signal evaluated at most once per cycle). When `false` the
@@ -38,14 +41,9 @@ pub struct EngineConfig {
     /// the behavior of traditional event-driven simulators that the paper
     /// contrasts against (Section II).
     pub event_levelized: bool,
-    /// Run the structural self-checks (`CcssPlan::check`) when building
-    /// the ESSENT engine, panicking on any error finding. Off by default;
-    /// the standalone `essent-verify` crate provides the deeper
-    /// independent verification.
-    pub verify: bool,
     /// Lower single-word steps into the specialized one-word tier
     /// ([`crate::step1`]); multi-word steps keep the generic kernels.
-    /// Used by the full-cycle, ESSENT, and parallel engines.
+    /// Used by the full-cycle, ESSENT, parallel and batched engines.
     pub tier1: bool,
     /// Fuse partition-output trigger updates (compare + consumer wakes)
     /// into the defining tier-1 instruction. Requires `tier1` and
@@ -95,7 +93,6 @@ impl Default for EngineConfig {
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,
-            verify: false,
             tier1: true,
             fuse_triggers: true,
             profile: false,
@@ -118,7 +115,6 @@ impl EngineConfig {
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,
-            verify: false,
             tier1: false,
             fuse_triggers: false,
             profile: false,
@@ -187,45 +183,49 @@ pub trait Simulator {
 }
 
 /// Shared poke/peek plumbing for engines embedding a
-/// [`Machine`](crate::machine::Machine); macro instead of trait default
-/// methods so each engine can intercept `poke` for wakeups.
+/// [`Machine`](crate::machine::Machine) (at field path `machine`, or
+/// the given one); macro instead of trait default methods so each
+/// engine can intercept `poke` for wakeups.
 macro_rules! delegate_simulator_basics {
     () => {
+        crate::engine::delegate_simulator_basics!(machine);
+    };
+    ($($m:ident).+) => {
         fn peek(&self, name: &str) -> Bits {
-            let id = self.machine.netlist.expect_signal(name);
-            self.machine.value(id)
+            let id = self.$($m).+.netlist.expect_signal(name);
+            self.$($m).+.value(id)
         }
 
         fn cycle(&self) -> u64 {
-            self.machine.cycle
+            self.$($m).+.cycle
         }
 
         fn halted(&self) -> Option<u64> {
-            self.machine.halted
+            self.$($m).+.halted
         }
 
         fn counters(&self) -> crate::machine::WorkCounters {
-            self.machine.counters
+            self.$($m).+.counters
         }
 
         fn find(&self, name: &str) -> Option<essent_netlist::SignalId> {
-            self.machine.netlist.find(name)
+            self.$($m).+.netlist.find(name)
         }
 
         fn peek_id(&self, id: essent_netlist::SignalId) -> Bits {
-            self.machine.value(id)
+            self.$($m).+.value(id)
         }
 
         fn write_mem(&mut self, mem: &str, addr: usize, value: Bits) {
-            self.machine.write_mem_backdoor(mem, addr, &value);
+            self.$($m).+.write_mem_backdoor(mem, addr, &value);
         }
 
         fn read_mem(&self, mem: &str, addr: usize) -> Bits {
-            self.machine.read_mem_backdoor(mem, addr)
+            self.$($m).+.read_mem_backdoor(mem, addr)
         }
 
         fn printf_log(&self) -> &[String] {
-            &self.machine.printf_log
+            &self.$($m).+.printf_log
         }
     };
 }

@@ -24,55 +24,92 @@
 use crate::compile::{compile_plan, Block};
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::jit;
-use crate::machine::Machine;
+use crate::machine::{commit_state_raw, Machine};
 use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
-use crate::step1::{lower_tier1, OutSpec, Tier1Program, TierStats};
+use crate::step1::{lower_plan, Tier1Program, TierStats};
 use essent_bits::Bits;
-use essent_core::partition::partition;
+use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
 use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_netlist::{Netlist, SignalId};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Flattened per-output trigger tables (hot-loop friendly).
+/// Flattened per-partition tables (hot-loop friendly): each
+/// partition's unfused outputs with their snapshot words, and its elided
+/// state updates. A partition's entries are a private range, so the
+/// parallel engine's workers share these tables.
 #[derive(Debug, Default)]
-struct Triggers {
+pub(crate) struct Triggers {
+    /// Per partition: its ranges in the tables below.
+    pub(crate) parts: Vec<PartSpan>,
     /// Per output: arena offset and word count.
-    out_off: Vec<u32>,
-    out_words: Vec<u16>,
+    pub(crate) out_off: Vec<u32>,
+    pub(crate) out_words: Vec<u16>,
     /// Per output: offset of its snapshot in `old_vals`.
-    old_off: Vec<u32>,
+    pub(crate) old_off: Vec<u32>,
     /// Per output: range into `consumers`.
-    cons_start: Vec<u32>,
-    cons_end: Vec<u32>,
-    consumers: Vec<u32>,
-    /// Per partition: range of outputs in the tables above.
-    part_start: Vec<u32>,
-    part_end: Vec<u32>,
+    pub(crate) cons_start: Vec<u32>,
+    pub(crate) cons_end: Vec<u32>,
+    pub(crate) consumers: Vec<u32>,
+    /// Elided registers, committed in place after their partition.
+    pub(crate) regs: Vec<ElidedReg>,
+    /// The elided registers' wake lists, flattened.
+    pub(crate) reg_wakes: Vec<u32>,
+    /// Elided memory writes (`mem_write_plans` indices), run in place
+    /// after their partition.
+    pub(crate) writes: Vec<u32>,
     /// Snapshot storage.
-    old_vals: Vec<u64>,
+    pub(crate) old_vals: Vec<u64>,
 }
 
-/// The CCSS simulator.
+/// One partition's `start..end` ranges into the [`Triggers`] tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PartSpan {
+    pub(crate) outs: [u32; 2],
+    pub(crate) regs: [u32; 2],
+    pub(crate) writes: [u32; 2],
+}
+
+/// An elided register: its `reg_plans` index, `next` and `out` arena
+/// offsets, word count, and range into [`Triggers::reg_wakes`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ElidedReg {
+    pub(crate) plan: u32,
+    pub(crate) next: u32,
+    pub(crate) out: u32,
+    pub(crate) words: u32,
+    pub(crate) wakes: [u32; 2],
+}
+
+/// A `[start, end]` table range as an index range.
+#[inline(always)]
+pub(crate) fn span([start, end]: [u32; 2]) -> std::ops::Range<usize> {
+    start as usize..end as usize
+}
+
+/// The CCSS simulator. The parallel engine ([`crate::ParEssentSim`])
+/// is one of these plus its fan-out runtime, which reads the fields
+/// marked `pub(crate)`.
 pub struct EssentSim {
-    machine: Machine,
-    plan: CcssPlan,
-    blocks: Vec<Block>,
+    pub(crate) machine: Machine,
+    pub(crate) plan: CcssPlan,
+    pub(crate) blocks: Vec<Block>,
     /// Word-specialized programs per partition (`config.tier1`); `None`
     /// runs the generic item interpreter.
-    programs: Option<Vec<Tier1Program>>,
+    pub(crate) programs: Option<Vec<Tier1Program>>,
     /// Native-compiled partitions (`config.jit`): entries are `Some` for
     /// partitions that cleared the cost threshold and lowered cleanly;
     /// everything else stays on the tier-1 interpreter.
-    jit: Option<jit::JitParts>,
-    flags: Vec<bool>,
-    triggers: Triggers,
+    pub(crate) jit: Option<jit::JitParts>,
+    /// One activity flag per partition, in schedule order.
+    pub(crate) flags: Vec<bool>,
+    pub(crate) triggers: Triggers,
     input_wake: HashMap<SignalId, Vec<u32>>,
     /// Indices of non-elided register / memory-write plans (end-of-cycle
     /// commit path).
-    commit_regs: Vec<usize>,
-    commit_writes: Vec<usize>,
+    pub(crate) commit_regs: Vec<usize>,
+    pub(crate) commit_writes: Vec<usize>,
     /// Total steps a full-cycle evaluation would run (for effective
     /// activity factor reporting).
     full_steps: usize,
@@ -83,7 +120,7 @@ pub struct EssentSim {
     /// Telemetry arena ([`EngineConfig::profile`]); taken out of the
     /// option for the duration of a `step` so the cycle loop
     /// monomorphizes over the enabled/disabled profiler.
-    profile: Option<Box<ProfileArena>>,
+    pub(crate) profile: Option<Box<ProfileArena>>,
 }
 
 /// Pull-direction snapshot tables: each partition's cross-partition input
@@ -117,7 +154,7 @@ impl EssentSim {
     pub fn new_with_prior(
         netlist: &Netlist,
         config: &EngineConfig,
-        prior: &essent_core::partition::ActivityPrior,
+        prior: &ActivityPrior,
     ) -> EssentSim {
         EssentSim::new_shared_with_prior(Arc::new(netlist.clone()), config, Some(prior))
     }
@@ -127,31 +164,9 @@ impl EssentSim {
     pub fn new_shared_with_prior(
         netlist: Arc<Netlist>,
         config: &EngineConfig,
-        prior: Option<&essent_core::partition::ActivityPrior>,
+        prior: Option<&ActivityPrior>,
     ) -> EssentSim {
-        let (dag, writes) = extended_dag(&netlist);
-        let parts = match prior {
-            Some(pr) => {
-                essent_core::partition::partition_with_prior(
-                    &dag,
-                    config.c_p,
-                    pr,
-                    &essent_core::partition::ActivityMergeParams::for_cp(config.c_p),
-                )
-                .0
-            }
-            None => partition(&dag, config.c_p),
-        };
-        let plan = CcssPlan::from_partitioning(
-            &netlist,
-            &dag,
-            &writes,
-            &parts,
-            PlanOptions {
-                elide_state: config.elide_state,
-                elide_mem: config.elide_state,
-            },
-        );
+        let plan = build_plan(&netlist, config, prior, config.elide_state);
         EssentSim::from_plan_shared_with_prior(netlist, plan, config, prior)
     }
 
@@ -177,40 +192,13 @@ impl EssentSim {
         netlist: Arc<Netlist>,
         plan: CcssPlan,
         config: &EngineConfig,
-        prior: Option<&essent_core::partition::ActivityPrior>,
+        prior: Option<&ActivityPrior>,
     ) -> EssentSim {
-        if config.verify {
-            let report = plan.check(&netlist);
-            assert!(
-                report.is_clean(),
-                "CCSS plan failed verification:\n{report}"
-            );
-        }
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
         let blocks = compile_plan(&netlist, &machine.layout, &plan, config);
 
-        // Word-specialized tier. Trigger fusion additionally requires
-        // push-direction triggering: pull mode detects changes by input
-        // snapshots and must not consume the outputs' consumer wakes.
-        let fuse = config.tier1 && config.fuse_triggers && config.trigger_push;
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| {
-                    let outs: Vec<OutSpec> = part
-                        .outputs
-                        .iter()
-                        .map(|o| OutSpec {
-                            sig: o.signal,
-                            consumers: o.consumers.clone(),
-                        })
-                        .collect();
-                    lower_tier1(&netlist, block, &outs, fuse)
-                })
-                .collect()
-        });
+        let programs = lower_plan(&netlist, &plan, &blocks, config);
 
         // Native tier (`config.jit`): compile partitions whose cost
         // estimate clears the threshold. Skipped when profiling (wake
@@ -232,27 +220,46 @@ impl EssentSim {
         // Snapshot-compare tables cover only the outputs the tier did not
         // fuse (all of them when the tier is off).
         let mut triggers = Triggers::default();
+        let (layout, regs) = (&machine.layout, netlist.regs());
         for (sched, part) in plan.partitions.iter().enumerate() {
-            triggers.part_start.push(triggers.out_off.len() as u32);
+            let tr = &mut triggers;
+            let (out_start, reg_start, write_start) =
+                (tr.out_off.len(), tr.regs.len(), tr.writes.len());
             for (oi, out) in part.outputs.iter().enumerate() {
                 if let Some(progs) = &programs {
                     if !progs[sched].unfused.contains(&oi) {
                         continue;
                     }
                 }
-                let off = machine.layout.offset(out.signal) as u32;
-                let words = machine.layout.words(out.signal) as u16;
-                triggers.out_off.push(off);
-                triggers.out_words.push(words);
-                triggers.old_off.push(triggers.old_vals.len() as u32);
-                triggers
-                    .old_vals
-                    .extend(std::iter::repeat_n(0, words as usize));
-                triggers.cons_start.push(triggers.consumers.len() as u32);
-                triggers.consumers.extend(out.consumers.iter().copied());
-                triggers.cons_end.push(triggers.consumers.len() as u32);
+                let words = layout.words(out.signal) as u16;
+                tr.out_off.push(layout.offset(out.signal) as u32);
+                tr.out_words.push(words);
+                tr.old_off.push(tr.old_vals.len() as u32);
+                tr.old_vals.extend(std::iter::repeat_n(0, words as usize));
+                tr.cons_start.push(tr.consumers.len() as u32);
+                tr.consumers.extend(out.consumers.iter().copied());
+                tr.cons_end.push(tr.consumers.len() as u32);
             }
-            triggers.part_end.push(triggers.out_off.len() as u32);
+            for &ri in &part.elided_regs {
+                let (reg, wake) = (&regs[ri], &plan.reg_plans[ri].wake_on_change);
+                let wake_start = tr.reg_wakes.len() as u32;
+                tr.reg_wakes.extend(wake.iter().copied());
+                tr.regs.push(ElidedReg {
+                    plan: ri as u32,
+                    next: layout.offset(reg.next) as u32,
+                    out: layout.offset(reg.out) as u32,
+                    words: layout.words(reg.out) as u32,
+                    wakes: [wake_start, tr.reg_wakes.len() as u32],
+                });
+            }
+            tr.writes
+                .extend(part.elided_writes.iter().map(|&wi| wi as u32));
+            let range = |start: usize, end: usize| [start as u32, end as u32];
+            tr.parts.push(PartSpan {
+                outs: range(out_start, tr.out_off.len()),
+                regs: range(reg_start, tr.regs.len()),
+                writes: range(write_start, tr.writes.len()),
+            });
         }
 
         let input_wake = plan
@@ -435,180 +442,70 @@ impl EssentSim {
         // the flag slice stays borrowed here.
         let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
         let tr = &mut self.triggers;
-        let plan = &self.plan;
-        let blocks = &self.blocks;
-        let programs = &self.programs;
-        let jit = &self.jit;
-
-        let push = self.push;
-        let pull = &mut self.pull_inputs;
+        let code = Code {
+            plan: &self.plan,
+            blocks: &self.blocks,
+            programs: self.programs.as_deref(),
+            jit: self.jit.as_ref(),
+        };
+        let plan = code.plan;
         let np = plan.partitions.len();
-        if push {
+
+        if self.push {
             // One activity flag test per partition per cycle, accounted
             // in bulk: the chunked scan below performs the same tests
             // eight at a time.
             machine.counters.static_checks += np as u64;
-        }
-        let mut run_part = |sched: usize, prof: &mut P| {
-            if !push {
-                machine.counters.static_checks += 1;
-            }
-            let mut active = flags[sched].get();
-            if !push && !active {
-                // Pull direction: compare every cross-partition input
-                // against its snapshot — per-cycle work proportional to
-                // the partition's inputs, the overhead the paper's push
-                // choice avoids.
-                let (i_start, i_end) = (
-                    pull.part_start[sched] as usize,
-                    pull.part_end[sched] as usize,
-                );
-                for i in i_start..i_end {
-                    machine.counters.static_checks += 1;
-                    let off = pull.in_off[i] as usize;
-                    let w = pull.in_words[i] as usize;
-                    let snap = pull.snap_off[i] as usize;
-                    if machine.arena[off..off + w] != pull.snapshots[snap..snap + w] {
-                        active = true;
-                        break;
-                    }
-                }
-            }
-            if !active {
-                prof.unit_skip(sched);
-                return;
-            }
-            let ops_before = machine.counters.ops_evaluated;
-            let t0 = prof.eval_begin(sched);
-            // 1. Deactivate for the next cycle.
-            flags[sched].set(false);
-            if !push {
-                // Refresh input snapshots for the next pull comparison.
-                let (i_start, i_end) = (
-                    pull.part_start[sched] as usize,
-                    pull.part_end[sched] as usize,
-                );
-                for i in i_start..i_end {
-                    let off = pull.in_off[i] as usize;
-                    let w = pull.in_words[i] as usize;
-                    let snap = pull.snap_off[i] as usize;
-                    pull.snapshots[snap..snap + w].copy_from_slice(&machine.arena[off..off + w]);
-                }
-            }
-
-            // 2. Snapshot old output values.
-            let (o_start, o_end) = (tr.part_start[sched] as usize, tr.part_end[sched] as usize);
-            for o in o_start..o_end {
-                let off = tr.out_off[o] as usize;
-                let w = tr.out_words[o] as usize;
-                let old = tr.old_off[o] as usize;
-                tr.old_vals[old..old + w].copy_from_slice(&machine.arena[off..off + w]);
-            }
-
-            // 3. Evaluate members — through the word-specialized tier
-            //    when lowered (fused outputs compare-and-wake inline),
-            //    through the generic item interpreter otherwise.
-            match programs {
-                Some(progs) => {
-                    let arena = machine.arena.as_mut_ptr();
-                    let native = jit
-                        .as_ref()
-                        .and_then(|j| j.part(sched).map(|p| (p, j.banks())));
-                    if let Some((part, banks)) = native {
-                        // SAFETY: exclusive machine access through
-                        // &mut self; the compiled body touches only
-                        // arena offsets lowered from this partition's
-                        // tier-1 program (audited by the J07xx verify
-                        // layer), wakes consumers through the flag
-                        // bytes (Cell<bool> is a byte, 1 == true), and
-                        // reads memory banks through the pinned bank
-                        // table built from this machine's mems.
-                        let (o, d) = unsafe {
-                            part.run(arena, flags.as_ptr().cast::<u8>().cast_mut(), banks)
-                        };
-                        machine.counters.ops_evaluated += o;
-                        machine.counters.dynamic_checks += d;
-                    } else {
-                        // SAFETY: exclusive machine access through &mut self;
-                        // the flag cells alias no arena or bank storage.
-                        unsafe {
-                            prof.run_tier1(
-                                &progs[sched],
-                                arena,
-                                &machine.mems,
-                                flags,
-                                sched,
-                                &mut machine.counters.ops_evaluated,
-                                &mut machine.counters.dynamic_checks,
-                            )
-                        }
-                    }
-                }
-                None => machine.run_items(&blocks[sched].items),
-            }
-
-            // 4. Elided state updates: write in place, wake next-cycle
-            //    consumers (they are scheduled at or before this
-            //    partition, so the flags persist into the next cycle).
-            let part = &plan.partitions[sched];
-            // Memory writes before register updates: a write's fields may
-            // alias a register output in this same partition and must see
-            // its intra-cycle value.
-            for &wi in &part.elided_writes {
-                machine.counters.dynamic_checks += 1;
-                let wp = &plan.mem_write_plans[wi];
-                if machine.run_mem_write(wp.mem.index(), wp.writer) {
-                    for &c in &wp.wake_on_change {
-                        flags[c as usize].set(true);
-                        prof.wake_state_mem(wi, c);
-                    }
-                }
-            }
-            for &ri in &part.elided_regs {
-                machine.counters.dynamic_checks += 1;
-                if machine.commit_reg(ri) {
-                    for &c in &plan.reg_plans[ri].wake_on_change {
-                        flags[c as usize].set(true);
-                        prof.wake_state_reg(ri, c);
-                    }
-                }
-            }
-
-            // 5. Push direction only: per-output change detection; wake
-            //    consumers of changed outputs (branchless OR-reduction in
-            //    the generated C++; a compare + flag writes here).
-            if push {
-                for o in o_start..o_end {
-                    machine.counters.dynamic_checks += 1;
-                    let off = tr.out_off[o] as usize;
-                    let w = tr.out_words[o] as usize;
-                    let old = tr.old_off[o] as usize;
-                    if machine.arena[off..off + w] != tr.old_vals[old..old + w] {
-                        for ci in tr.cons_start[o]..tr.cons_end[o] {
-                            flags[tr.consumers[ci as usize] as usize].set(true);
-                            prof.wake_output(sched, tr.consumers[ci as usize]);
-                        }
-                    }
-                }
-            }
-            prof.eval_end(sched, t0, machine.counters.ops_evaluated - ops_before);
-        };
-
-        if push {
+            let mut ctx = (&mut *machine, &mut *tr, &mut *prof);
             // SAFETY: `np` in-bounds flag cells; `Cell<bool>` is one
             // byte (0 or 1) and no other thread exists.
             unsafe {
                 scan_flags(
                     flags.as_ptr().cast::<u8>(),
                     np,
-                    prof,
-                    |prof, s| (s..s + 8).for_each(|p| prof.unit_skip(p)),
-                    |prof, s| run_part(s, prof),
+                    &mut ctx,
+                    |(_, _, prof), s| (s..s + 8).for_each(|p| prof.unit_skip(p)),
+                    |(machine, tr, prof), s| {
+                        if flags[s].get() {
+                            code.eval_active(s, machine, flags, tr, true, &mut **prof);
+                        } else {
+                            prof.unit_skip(s);
+                        }
+                    },
                 )
             };
         } else {
+            let pull = &mut self.pull_inputs;
             for sched in 0..np {
-                run_part(sched, prof);
+                machine.counters.static_checks += 1;
+                // Pull direction: compare every cross-partition input
+                // against its snapshot — per-cycle work proportional to
+                // the partition's inputs, the overhead the paper's push
+                // choice avoids.
+                let inputs = pull.part_start[sched] as usize..pull.part_end[sched] as usize;
+                let mut active = flags[sched].get();
+                for i in inputs.clone() {
+                    if active {
+                        break;
+                    }
+                    machine.counters.static_checks += 1;
+                    let off = pull.in_off[i] as usize;
+                    let w = pull.in_words[i] as usize;
+                    let snap = pull.snap_off[i] as usize;
+                    active = machine.arena[off..off + w] != pull.snapshots[snap..snap + w];
+                }
+                if !active {
+                    prof.unit_skip(sched);
+                    continue;
+                }
+                // Refresh input snapshots for the next pull comparison.
+                for i in inputs {
+                    let off = pull.in_off[i] as usize;
+                    let w = pull.in_words[i] as usize;
+                    let snap = pull.snap_off[i] as usize;
+                    pull.snapshots[snap..snap + w].copy_from_slice(&machine.arena[off..off + w]);
+                }
+                code.eval_active(sched, machine, flags, tr, false, prof);
             }
         }
 
@@ -643,8 +540,140 @@ impl EssentSim {
     }
 }
 
-/// Chunked idle scan over one-byte activity flags, shared by the
-/// sequential engine and the parallel engine's one-worker sweep. With
+/// The compiled, read-only side of an [`EssentSim`]: the plan and the
+/// partitions' code in each tier.
+#[derive(Clone, Copy)]
+struct Code<'a> {
+    plan: &'a CcssPlan,
+    blocks: &'a [Block],
+    programs: Option<&'a [Tier1Program]>,
+    jit: Option<&'a jit::JitParts>,
+}
+
+impl Code<'_> {
+    /// Evaluates one active partition (steps 1–5 of the module docs;
+    /// pull mode has refreshed its input snapshots already).
+    fn eval_active<P: Profiler>(
+        self,
+        sched: usize,
+        machine: &mut Machine,
+        flags: &[Cell<bool>],
+        tr: &mut Triggers,
+        push: bool,
+        prof: &mut P,
+    ) {
+        let ops_before = machine.counters.ops_evaluated;
+        let t0 = prof.eval_begin(sched);
+        // 1. Deactivate for the next cycle.
+        flags[sched].set(false);
+
+        // 2. Snapshot old output values.
+        let spans = tr.parts[sched];
+        for o in span(spans.outs) {
+            let off = tr.out_off[o] as usize;
+            let w = tr.out_words[o] as usize;
+            let old = tr.old_off[o] as usize;
+            tr.old_vals[old..old + w].copy_from_slice(&machine.arena[off..off + w]);
+        }
+
+        // 3. Evaluate members — through the word-specialized tier
+        //    when lowered (fused outputs compare-and-wake inline),
+        //    through the generic item interpreter otherwise.
+        match self.programs {
+            Some(progs) => {
+                let arena = machine.arena.as_mut_ptr();
+                let native = self.jit.and_then(|j| j.part(sched).map(|p| (p, j.banks())));
+                if let Some((part, banks)) = native {
+                    // SAFETY: exclusive machine access through
+                    // &mut Machine; the compiled body touches only
+                    // arena offsets lowered from this partition's
+                    // tier-1 program (audited by the J07xx verify
+                    // layer), wakes consumers through the flag
+                    // bytes (Cell<bool> is a byte, 1 == true), and
+                    // reads memory banks through the pinned bank
+                    // table built from this machine's mems.
+                    let (o, d) =
+                        unsafe { part.run(arena, flags.as_ptr().cast::<u8>().cast_mut(), banks) };
+                    machine.counters.ops_evaluated += o;
+                    machine.counters.dynamic_checks += d;
+                } else {
+                    // SAFETY: exclusive machine access through
+                    // &mut Machine; the flag cells alias no arena or
+                    // bank storage.
+                    unsafe {
+                        prof.run_tier1(
+                            &progs[sched],
+                            arena,
+                            &machine.mems,
+                            flags,
+                            sched,
+                            &mut machine.counters.ops_evaluated,
+                            &mut machine.counters.dynamic_checks,
+                        )
+                    }
+                }
+            }
+            None => machine.run_items(&self.blocks[sched].items),
+        }
+
+        // 4. Elided state updates: write in place, wake next-cycle
+        //    consumers (they are scheduled at or before this
+        //    partition, so the flags persist into the next cycle).
+        //    Memory writes before register updates: a write's fields
+        //    may alias a register output in this same partition and
+        //    must see its intra-cycle value.
+        for &wi in &tr.writes[span(spans.writes)] {
+            machine.counters.dynamic_checks += 1;
+            let wp = &self.plan.mem_write_plans[wi as usize];
+            if machine.run_mem_write(wp.mem.index(), wp.writer) {
+                for &c in &wp.wake_on_change {
+                    flags[c as usize].set(true);
+                    prof.wake_state_mem(wi as usize, c);
+                }
+            }
+        }
+        for r in &tr.regs[span(spans.regs)] {
+            machine.counters.dynamic_checks += 1;
+            // SAFETY: exclusive machine access through &mut Machine;
+            // `next` and `out` are distinct signals' slots.
+            let changed = unsafe {
+                commit_state_raw(
+                    machine.arena.as_mut_ptr(),
+                    r.next as usize,
+                    r.out as usize,
+                    r.words as usize,
+                )
+            };
+            if changed {
+                for &c in &tr.reg_wakes[span(r.wakes)] {
+                    flags[c as usize].set(true);
+                    prof.wake_state_reg(r.plan as usize, c);
+                }
+            }
+        }
+
+        // 5. Push direction only: per-output change detection; wake
+        //    consumers of changed outputs (branchless OR-reduction in
+        //    the generated C++; a compare + flag writes here).
+        if push {
+            for o in span(spans.outs) {
+                machine.counters.dynamic_checks += 1;
+                let off = tr.out_off[o] as usize;
+                let w = tr.out_words[o] as usize;
+                let old = tr.old_off[o] as usize;
+                if machine.arena[off..off + w] != tr.old_vals[old..old + w] {
+                    for ci in tr.cons_start[o]..tr.cons_end[o] {
+                        flags[tr.consumers[ci as usize] as usize].set(true);
+                        prof.wake_output(sched, tr.consumers[ci as usize]);
+                    }
+                }
+            }
+        }
+        prof.eval_end(sched, t0, machine.counters.ops_evaluated - ops_before);
+    }
+}
+
+/// Chunked idle scan over one-byte activity flags. With
 /// the paper's low activity factors most flags are clear most cycles,
 /// so the sweep tests eight flag bytes with one word load and hands a
 /// whole idle run to `idle8` (called with the run's first index).
@@ -658,7 +687,7 @@ impl EssentSim {
 /// no other thread writes during the scan (so an unaligned 8-byte read
 /// observes exactly the eight flags as currently set).
 #[inline(always)]
-pub(crate) unsafe fn scan_flags<C: ?Sized>(
+unsafe fn scan_flags<C: ?Sized>(
     flags: *const u8,
     np: usize,
     ctx: &mut C,
@@ -682,6 +711,40 @@ pub(crate) unsafe fn scan_flags<C: ?Sized>(
             sched += 1;
         }
     }
+}
+
+/// Partitions the netlist at `config.c_p` (with the profile-guided
+/// merge phase when `prior` is given) and plans it, eliding registers
+/// per `config.elide_state` and memory writes per `elide_mem`.
+pub(crate) fn build_plan(
+    netlist: &Netlist,
+    config: &EngineConfig,
+    prior: Option<&ActivityPrior>,
+    elide_mem: bool,
+) -> CcssPlan {
+    let (dag, writes) = extended_dag(netlist);
+    let parts = match prior {
+        Some(pr) => {
+            partition_with_prior(
+                &dag,
+                config.c_p,
+                pr,
+                &ActivityMergeParams::for_cp(config.c_p),
+            )
+            .0
+        }
+        None => partition(&dag, config.c_p),
+    };
+    CcssPlan::from_partitioning(
+        netlist,
+        &dag,
+        &writes,
+        &parts,
+        PlanOptions {
+            elide_state: config.elide_state,
+            elide_mem,
+        },
+    )
 }
 
 impl Simulator for EssentSim {

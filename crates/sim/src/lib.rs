@@ -1,7 +1,7 @@
 //! The simulation engines: the paper's generated simulators, realized as
 //! compiled-to-bytecode interpreters over the netlist.
 //!
-//! Three engines share one compiled representation and one set of value
+//! The engines share one compiled representation and one set of value
 //! kernels, so cross-engine equivalence is a meaningful test and
 //! cross-engine *timing* is a meaningful benchmark:
 //!
@@ -19,6 +19,13 @@
 //! * [`EventDrivenSim`] — a classic levelized event-driven simulator
 //!   (signal-granularity change propagation), the stand-in for the
 //!   commercial event-driven simulator ("CommVer") in Table III.
+//! * [`ParEssentSim`] — beyond the paper: an [`EssentSim`] plus a
+//!   fan-out runtime ([`par`]). Below a measured activity crossover
+//!   every cycle is `EssentSim`'s own; above it, a static dataflow
+//!   schedule evaluates the same partitions on N workers, with the same
+//!   outputs and work counters.
+//! * [`BatchSim`] — beyond the paper: one CCSS schedule over N design
+//!   instances in lockstep, with per-lane wake masks ([`batch`]).
 //!
 //! Supporting modules: [`compile`] (bytecode, including the conditional
 //! multiplexer-way optimization of Section III-B), [`machine`] (arena,
@@ -45,13 +52,15 @@
 //!
 //! # Unsafe code
 //!
-//! Every `unsafe` block in this crate is a raw-pointer arena access
-//! whose soundness rests on one invariant: **partitions co-scheduled in
-//! a dependency level have disjoint write footprints, and never write
-//! what a co-leveled partition reads**. The invariant is not assumed —
-//! it is statically proven per design by the `essent-verify` footprint
-//! layer (`R0501`–`R0504`), and dynamically cross-checked by the
-//! `race-sanitizer` feature ([`sanitizer`]).
+//! Most `unsafe` blocks in this crate are raw-pointer arena accesses
+//! whose soundness rests on one invariant: **partitions that may run
+//! concurrently under the parallel engine's dataflow schedule have
+//! disjoint write footprints, and never write what the other reads**.
+//! The invariant is not assumed — it is statically proven per design by
+//! the `essent-verify` footprint and dependence layers (`R0501`–`R0504`,
+//! `S0601`–`S0605`), and dynamically cross-checked by the
+//! `race-sanitizer` feature (`sanitizer`). On one thread the engines
+//! hold the arena exclusively.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]

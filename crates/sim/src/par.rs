@@ -1,5 +1,5 @@
-//! A parallel CCSS engine that fans out only when measured activity
-//! pays for it.
+//! A parallel CCSS engine: [`EssentSim`] plus a fan-out runtime that
+//! runs only when measured activity pays for it.
 //!
 //! The acyclic partitioning that makes singular *sequential* schedules
 //! possible also exposes parallelism: the dependence analysis in
@@ -16,45 +16,47 @@
 //! engine decides at every [`step`](Simulator::step) call from its own
 //! counters: when the previous call's mean evaluated ops per cycle
 //! reached [`FANOUT_CROSSOVER_OPS`] it runs the N-worker schedule;
-//! otherwise it runs the one-worker sweep on the calling thread, with
-//! no threads spawned and the sequential engine's chunked idle-flag
-//! scan. The engine's first cycle (every flag starts set) never counts
-//! toward the measurement, and calls shorter than 64 cycles never fan
-//! out. The decision is a pure function of the counters, so runs stay
-//! reproducible. The dependence graph and the N-worker schedule are
-//! built on the first fan-out only. Both paths evaluate exactly the
-//! same partitions, so outputs and
-//! [`WorkCounters`](crate::WorkCounters) do not depend on the path.
+//! otherwise it runs [`EssentSim`]'s own cycle on the calling thread,
+//! with no threads spawned. The engine's first cycle (every flag starts
+//! set) never counts toward the measurement, and calls shorter than 64
+//! cycles never fan out. The decision is a pure function of the
+//! counters, so runs stay reproducible. The dependence graph and the
+//! N-worker schedule are built on the first fan-out only.
+//!
+//! The N-worker schedule evaluates each partition exactly as
+//! [`EssentSim`]'s cycle does, over the same trigger tables, flags and
+//! snapshot storage, and books the same
+//! [`WorkCounters`](crate::WorkCounters): outputs and counters do not
+//! depend on the path, the worker count or the engine.
 //!
 //! Memory-write elision is disabled here (concurrent in-partition writes
 //! to a shared bank would race — see [`PlanOptions::elide_mem`]); register
 //! elision is kept, since each register is written by exactly one
 //! partition into a private slot and the schedule orders every reader
-//! before the in-place commit.
+//! before the in-place commit. Triggering is push-only.
 //!
 //! This is the direction of the follow-on research building on ESSENT
 //! (thread-parallel simulation over replication-free partitionings); it
 //! is not part of the DAC 2020 evaluation and is benchmarked separately
 //! (the `bsp` bench bin; DESIGN.md §12 records the crossover).
+//!
+//! [`PlanOptions::elide_mem`]: essent_core::plan::PlanOptions::elide_mem
 
-use crate::compile::{compile_plan, Block, Item};
+use crate::compile::{Block, Item};
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
-use crate::essent::scan_flags;
+use crate::essent::{build_plan, span, EssentSim};
 use crate::jit;
 use crate::machine::{self, Machine, MemBank};
-use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
-use crate::step1::{
-    lower_tier1, run_tier1_raw, AtomicFlags, OutSpec, ProfAtomicFlags, Tier1Program,
-};
+use crate::profile::{NoProfile, ProfileReport, Profiler};
+use crate::step1::{Flag, TierStats};
 use essent_bits::Bits;
 use essent_core::depgraph::{
     synthesize_dataflow, DataflowSchedule, DepGraph, FANOUT_CROSSOVER_OPS,
 };
-use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
-use essent_netlist::{Netlist, SignalDef, SignalId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use essent_core::partition::ActivityPrior;
+use essent_core::plan::CcssPlan;
+use essent_netlist::{Netlist, SignalDef};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 // The level derivation lives in `essent_core::plan` (shared with the
@@ -131,9 +133,9 @@ impl CostModel {
 struct ArenaPtr(*mut u64);
 // SAFETY: workers only touch disjoint slots while running concurrently
 // (each signal is written by exactly one partition; reads target
-// finished producers or state), enforced by schedule order on one
-// worker and by the dataflow wait protocol on several, and proven statically by the `essent-verify`
-// footprint layer (R0502/R0503) and dependence-cover layer (S0601).
+// finished producers or state), enforced by the dataflow wait protocol
+// and proven statically by the `essent-verify` footprint layer
+// (R0502/R0503) and dependence-cover layer (S0601).
 unsafe impl Send for ArenaPtr {}
 // SAFETY: same disjointness discipline as the `Send` impl above —
 // concurrent `&ArenaPtr` access only ever dereferences
@@ -159,11 +161,6 @@ unsafe impl Send for MemsPtr {}
 // SAFETY: same read-only-during-evaluation discipline as `Send`.
 unsafe impl Sync for MemsPtr {}
 impl MemsPtr {
-    #[inline]
-    fn get(&self) -> (*mut MemBank, usize) {
-        (self.0, self.1)
-    }
-
     /// The banks as a shared slice.
     ///
     /// # Safety
@@ -181,10 +178,11 @@ impl MemsPtr {
 }
 
 /// Shared snapshot-buffer pointer for the worker closures.
+#[derive(Clone, Copy)]
 struct OldPtr(*mut u64);
 // SAFETY: the snapshot buffer is partitioned by construction — each
-// partition owns a private, pre-assigned range (the `old` offsets in
-// `part_triggers`), so workers never alias.
+// partition owns a private, pre-assigned range (its outputs' `old_off`
+// entries in [`EssentSim`]'s trigger tables), so workers never alias.
 unsafe impl Send for OldPtr {}
 // SAFETY: same private-per-partition ranges as the `Send` impl.
 unsafe impl Sync for OldPtr {}
@@ -193,18 +191,6 @@ impl OldPtr {
     fn get(&self) -> *mut u64 {
         self.0
     }
-}
-
-/// One partition's flattened trigger table entry.
-struct PartTriggers {
-    /// (arena offset, words, old-value offset) per output.
-    outs: Vec<(u32, u16, u32)>,
-    /// (consumer range) per output into `consumers`.
-    cons: Vec<(u32, u32)>,
-    consumers: Vec<u32>,
-    /// Elided registers: (next offset, out offset, words, register plan
-    /// index, wake list).
-    regs: Vec<(u32, u32, u16, u32, Vec<u32>)>,
 }
 
 /// The N-worker side of the engine, built on the first fan-out.
@@ -220,17 +206,10 @@ struct FanOut {
 
 /// Thread-parallel CCSS simulator.
 pub struct ParEssentSim {
-    machine: Machine,
-    plan: CcssPlan,
-    blocks: Vec<Block>,
-    /// Word-specialized programs per partition (`config.tier1`); fused
-    /// trigger writes go through the atomic flag sink.
-    programs: Option<Vec<Tier1Program>>,
-    /// Native-compiled partitions (`config.jit`): entries are `Some` for
-    /// partitions whose cost estimate cleared
-    /// [`jit::JIT_MIN_COST`] and whose program was eligible.
-    jit: Option<jit::JitParts>,
-    flags: Vec<AtomicBool>,
+    /// The sequential engine over the parallel plan: every cycle that
+    /// does not fan out is its cycle, and the N-worker schedule runs
+    /// over its tables, flags and arena.
+    seq: EssentSim,
     /// Per-partition [`CostModel`] estimates, kept for the lazily
     /// synthesized N-worker schedule.
     costs: Vec<u64>,
@@ -243,18 +222,7 @@ pub struct ParEssentSim {
     window: (u64, u64),
     /// Cycles run on an N-worker schedule.
     fanout_cycles: u64,
-    part_triggers: Vec<PartTriggers>,
-    /// Per-partition private snapshot storage, indexed by the offsets in
-    /// `part_triggers[p].outs`.
-    old_vals: Vec<u64>,
-    input_wake: HashMap<SignalId, Vec<u32>>,
-    commit_regs: Vec<usize>,
-    /// Per memory, per write port: its `mem_write_plans` index.
-    mem_write_plan: Vec<Vec<Option<usize>>>,
     threads: usize,
-    /// Telemetry counters ([`EngineConfig::profile`]); atomic because
-    /// workers update them concurrently through `&self`.
-    profile: Option<Box<AtomicProfile>>,
     /// [`EngineConfig::race_sanitizer`]: fanned-out runs record every
     /// arena access into `shadow`.
     #[cfg(feature = "race-sanitizer")]
@@ -296,125 +264,23 @@ impl ParEssentSim {
     }
 
     /// The general constructor behind [`ParEssentSim::new_shared`] and
-    /// [`ParEssentSim::new_with_prior`].
+    /// [`ParEssentSim::new_with_prior`]: an [`EssentSim`] over a plan
+    /// without memory-write elision, push-triggered (pull mode's only
+    /// effect here is to turn trigger fusion off).
     pub fn new_shared_with_prior(
         netlist: Arc<Netlist>,
         config: &EngineConfig,
         threads: usize,
         prior: Option<&ActivityPrior>,
     ) -> ParEssentSim {
-        let (dag, writes) = extended_dag(&netlist);
-        let parts = match prior {
-            Some(pr) => {
-                partition_with_prior(
-                    &dag,
-                    config.c_p,
-                    pr,
-                    &ActivityMergeParams::for_cp(config.c_p),
-                )
-                .0
-            }
-            None => partition(&dag, config.c_p),
+        let plan = build_plan(&netlist, config, prior, false);
+        let config = EngineConfig {
+            trigger_push: true,
+            fuse_triggers: config.fuse_triggers && config.trigger_push,
+            ..config.clone()
         };
-        let plan = CcssPlan::from_partitioning(
-            &netlist,
-            &dag,
-            &writes,
-            &parts,
-            PlanOptions {
-                elide_state: config.elide_state,
-                elide_mem: false,
-            },
-        );
-        let mut machine = Machine::from_arc(Arc::clone(&netlist));
-        machine.capture_printf = config.capture_printf;
-        let blocks = compile_plan(&netlist, &machine.layout, &plan, config);
-
-        let fuse = config.tier1 && config.fuse_triggers && config.trigger_push;
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| {
-                    let outs: Vec<OutSpec> = part
-                        .outputs
-                        .iter()
-                        .map(|o| OutSpec {
-                            sig: o.signal,
-                            consumers: o.consumers.clone(),
-                        })
-                        .collect();
-                    lower_tier1(&netlist, block, &outs, fuse)
-                })
-                .collect()
-        });
-
-        let np = plan.partitions.len();
-
-        // Flattened per-partition trigger + elided-register tables,
-        // covering only the outputs the tier did not fuse.
-        let mut old_vals = Vec::new();
-        let mut part_triggers = Vec::with_capacity(np);
-        for (sched, part) in plan.partitions.iter().enumerate() {
-            let mut outs = Vec::new();
-            let mut cons = Vec::new();
-            let mut consumers = Vec::new();
-            for (oi, o) in part.outputs.iter().enumerate() {
-                if let Some(progs) = &programs {
-                    if !progs[sched].unfused.contains(&oi) {
-                        continue;
-                    }
-                }
-                let off = machine.layout.offset(o.signal) as u32;
-                let w = machine.layout.words(o.signal) as u16;
-                outs.push((off, w, old_vals.len() as u32));
-                old_vals.extend(std::iter::repeat_n(0, w as usize));
-                let start = consumers.len() as u32;
-                consumers.extend(o.consumers.iter().copied());
-                cons.push((start, consumers.len() as u32));
-            }
-            let regs = part
-                .elided_regs
-                .iter()
-                .map(|&ri| {
-                    let reg = &netlist.regs()[ri];
-                    (
-                        machine.layout.offset(reg.next) as u32,
-                        machine.layout.offset(reg.out) as u32,
-                        machine.layout.words(reg.out) as u16,
-                        ri as u32,
-                        plan.reg_plans[ri].wake_on_change.clone(),
-                    )
-                })
-                .collect();
-            part_triggers.push(PartTriggers {
-                outs,
-                cons,
-                consumers,
-                regs,
-            });
-        }
-
-        let input_wake = plan
-            .input_wakes
-            .iter()
-            .map(|(sig, wakes)| (*sig, wakes.clone()))
-            .collect();
-        let commit_regs = plan
-            .reg_plans
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.elided)
-            .map(|(i, _)| i)
-            .collect();
-        let mut mem_write_plan: Vec<Vec<Option<usize>>> = netlist
-            .mems()
-            .iter()
-            .map(|m| vec![None; m.writers.len()])
-            .collect();
-        for (wi, wp) in plan.mem_write_plans.iter().enumerate() {
-            mem_write_plan[wp.mem.index()][wp.writer] = Some(wi);
-        }
+        let seq = EssentSim::from_plan_shared_with_prior(netlist, plan, &config, prior);
+        let costs = CostModel::build(&seq.plan, &seq.blocks, prior).costs;
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -422,46 +288,14 @@ impl ParEssentSim {
         } else {
             threads
         };
-        let costs = CostModel::build(&plan, &blocks, prior).costs;
-
-        // Native tier (`config.jit`): compile partitions whose cost
-        // estimate clears the threshold. Skipped when profiling (wake
-        // attribution needs the interpreter's flag sinks) and under the
-        // race sanitizer (the dynamic oracle instruments the
-        // interpreter loop).
-        let jit = (config.jit
-            && !config.profile
-            && !cfg!(feature = "race-sanitizer")
-            && jit::supported())
-        .then(|| {
-            programs
-                .as_ref()
-                .map(|progs| jit::JitParts::build(progs, &costs, &machine.mems))
-        })
-        .flatten();
-
-        let profile = config
-            .profile
-            .then(|| Box::new(AtomicProfile::new(ProfileWiring::for_plan(&netlist, &plan))));
         ParEssentSim {
-            machine,
-            plan,
-            blocks,
-            programs,
-            jit,
-            flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
+            seq,
             costs,
             fanout: None,
             force_fanout: false,
             window: (0, 0),
             fanout_cycles: 0,
-            part_triggers,
-            old_vals,
-            input_wake,
-            commit_regs,
-            mem_write_plan,
             threads,
-            profile,
             #[cfg(feature = "race-sanitizer")]
             sanitize: config.race_sanitizer,
             #[cfg(feature = "race-sanitizer")]
@@ -472,23 +306,29 @@ impl ParEssentSim {
     /// Number of dependency levels in the plan (the critical path, in
     /// partitions, of one cycle).
     pub fn level_count(&self) -> usize {
-        plan_levels(&self.plan).len()
+        plan_levels(&self.seq.plan).len()
     }
 
     /// Borrow of the underlying machine (testing, activity profiling).
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        self.seq.machine()
     }
 
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.plan.partitions.len()
+        self.seq.partition_count()
+    }
+
+    /// Aggregated word-specialization coverage over all partitions
+    /// (`None` when the tier is disabled).
+    pub fn tier_stats(&self) -> Option<TierStats> {
+        self.seq.tier_stats()
     }
 
     /// Number of partitions currently running native-compiled bodies
     /// (0 when the JIT is off or unsupported on this target).
     pub fn jit_compiled_count(&self) -> usize {
-        self.jit.as_ref().map_or(0, |j| j.compiled_count())
+        self.seq.jit_compiled_count()
     }
 
     /// Number of cycles run on the N-worker schedule (0 while every call
@@ -512,36 +352,22 @@ impl ParEssentSim {
     /// the tier-1 interpreter (deopt testing). Returns whether a body
     /// was actually dropped.
     pub fn force_deopt(&mut self, sched: usize) -> bool {
-        self.jit.as_mut().is_some_and(|j| j.deopt(sched))
+        self.seq.force_deopt(sched)
     }
 
     /// Discards every compiled body; returns how many were dropped.
     pub fn force_deopt_all(&mut self) -> usize {
-        self.jit.as_mut().map_or(0, |j| j.deopt_all())
+        self.seq.force_deopt_all()
     }
 
-    /// Testing hook: compiles every eligible partition regardless of the
-    /// cost threshold, so deopt tests cover partitions the threshold
-    /// would leave interpreted. Returns how many bodies now exist; 0 on
-    /// unsupported targets or when the tier/profile gating forbids JIT.
+    /// Testing hook: see [`EssentSim::jit_compile_all`].
     pub fn jit_compile_all(&mut self) -> usize {
-        if self.profile.is_some() || cfg!(feature = "race-sanitizer") || !jit::supported() {
-            return 0;
-        }
-        match &self.programs {
-            Some(progs) => {
-                let j = jit::JitParts::build_all(progs, &self.machine.mems);
-                let n = j.compiled_count();
-                self.jit = Some(j);
-                n
-            }
-            None => 0,
-        }
+        self.seq.jit_compile_all()
     }
 
     /// Borrow of the compiled partitions (verification, tests).
     pub fn jit_parts(&self) -> Option<&jit::JitParts> {
-        self.jit.as_ref()
+        self.seq.jit_parts()
     }
 
     /// The N-worker dataflow schedule; `None` until the engine first
@@ -555,17 +381,17 @@ impl ParEssentSim {
     /// sanitizer) the shadow memory with the schedule's ordering edges.
     fn fanout(&mut self) -> &FanOut {
         if self.fanout.is_none() {
-            let netlist = &self.machine.netlist;
-            let graph = DepGraph::derive(netlist, &self.plan);
-            let sched = synthesize_dataflow(&self.plan, &graph, &self.costs, self.threads);
-            let mut stop_probe = vec![Vec::new(); self.plan.partitions.len()];
+            let (netlist, plan) = (&self.seq.machine.netlist, &self.seq.plan);
+            let graph = DepGraph::derive(netlist, plan);
+            let sched = synthesize_dataflow(plan, &graph, &self.costs, self.threads);
+            let mut stop_probe = vec![Vec::new(); plan.partitions.len()];
             for st in netlist.stops() {
                 if matches!(
                     netlist.signal(st.en).def,
                     SignalDef::Op(_) | SignalDef::MemRead { .. }
                 ) {
-                    let owner = self.plan.sched_of_signal[st.en.index()] as usize;
-                    stop_probe[owner].push(self.machine.layout.offset(st.en) as u32);
+                    let owner = plan.sched_of_signal[st.en.index()] as usize;
+                    stop_probe[owner].push(self.seq.machine.layout.offset(st.en) as u32);
                 }
             }
             // The sanitizer needs the schedule's same-cycle ordering
@@ -581,7 +407,7 @@ impl ParEssentSim {
                     })
                     .collect();
                 self.shadow = Some(Box::new(crate::sanitizer::ShadowMem::new(
-                    self.machine.layout.total_words(),
+                    self.seq.machine.layout.total_words(),
                     edges,
                 )));
             }
@@ -590,152 +416,140 @@ impl ParEssentSim {
         self.fanout.as_ref().expect("built above")
     }
 
-    /// Worker routine: evaluate one partition (flag already claimed).
+    /// Worker routine: evaluate one partition (flag already claimed),
+    /// step for step as [`EssentSim`]'s cycle does, booking the same
+    /// ops and dynamic checks into `work`.
     ///
     /// # Safety
     ///
     /// Caller must guarantee that no partition evaluating concurrently
     /// with `sched` writes any arena word this partition reads or
-    /// writes: trivially on one worker, and on several by the dataflow
-    /// waits, which `essent-verify` proves cover every footprint
-    /// overlap (`R0501`–`R0504`, `S0601`–`S0604`) and the
-    /// `race-sanitizer` feature checks dynamically.
-    unsafe fn eval_partition(
+    /// writes: the dataflow waits, which `essent-verify` proves cover
+    /// every footprint overlap (`R0501`–`R0504`, `S0601`–`S0604`) and
+    /// the `race-sanitizer` feature checks dynamically. `flags` must be
+    /// the engine's activity flags and `old_vals` its snapshot storage.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn eval_partition<P: Profiler>(
         &self,
         sched: usize,
         arena: ArenaPtr,
         mems: &[MemBank],
-        old_vals: *mut u64,
-        ops: &mut u64,
-        prof: Option<&AtomicProfile>,
+        flags: &[AtomicBool],
+        old_vals: OldPtr,
+        work: &mut Work,
+        prof: &mut P,
     ) {
-        let tr = &self.part_triggers[sched];
+        let seq = &self.seq;
+        let tr = &seq.triggers;
+        let spans = tr.parts[sched];
         // Snapshot outputs.
-        for &(off, w, old) in &tr.outs {
+        for o in span(spans.outs) {
+            let (off, w, old) = (tr.out_off[o], tr.out_words[o], tr.old_off[o]);
             #[cfg(feature = "race-sanitizer")]
             crate::sanitizer::note_read(off, w as u32);
             // SAFETY: `off..off+w` are this partition's own output
-            // slots (no co-leveled writer per R0502/R0503); the `old`
+            // slots (no concurrent writer per R0502/R0503); the `old`
             // range is this partition's private snapshot storage.
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     arena.get().add(off as usize),
-                    old_vals.add(old as usize),
+                    old_vals.get().add(old as usize),
                     w as usize,
                 );
             }
         }
-        match &self.programs {
-            Some(_)
-                if prof.is_none() && self.jit.as_ref().is_some_and(|j| j.part(sched).is_some()) =>
-            {
-                let j = self.jit.as_ref().expect("jit checked above");
-                let part = j.part(sched).expect("part checked above");
-                // SAFETY: the compiled body touches only arena offsets
-                // lowered from this partition's tier-1 program, whose
-                // footprint equals the generic block's (R0501) — proved
-                // level-disjoint and in-bounds (R0502–R0504) — and is
-                // independently audited against the emitted bytes by
-                // the J07xx verify layer. Wakes are 1-byte stores of
-                // `true` into the `AtomicBool` flags (one byte each;
-                // single-byte stores are hardware-atomic on the
-                // supported targets, matching the relaxed atomic sink).
-                // Banks are read-only here, through the pinned bank
-                // table built from this machine's mems.
-                let (o, _d) = unsafe {
-                    part.run(
-                        arena.get(),
-                        self.flags.as_ptr().cast::<u8>().cast_mut(),
-                        j.banks(),
-                    )
-                };
-                *ops += o;
-            }
+        match &seq.programs {
             Some(progs) => {
-                // Fused trigger writes go straight to the atomic flags;
-                // this engine does not track dynamic-check counts.
-                let mut dynamic = 0u64;
-                match prof {
+                let native = seq
+                    .jit
+                    .as_ref()
+                    .and_then(|j| j.part(sched).map(|p| (p, j.banks())));
+                if let Some((part, banks)) = native {
+                    // SAFETY: the compiled body touches only arena
+                    // offsets lowered from this partition's tier-1
+                    // program, whose footprint equals the generic
+                    // block's (R0501) — proved disjoint from concurrent
+                    // partitions and in-bounds (R0502–R0504) — and is
+                    // independently audited against the emitted bytes
+                    // by the J07xx verify layer. Wakes are 1-byte stores
+                    // of `true` into the `AtomicBool` flags (one byte
+                    // each; single-byte stores are hardware-atomic on
+                    // the supported targets, matching the relaxed atomic
+                    // sink). Banks are read-only here, through the
+                    // pinned bank table built from this machine's mems.
+                    let (o, d) = unsafe {
+                        part.run(arena.get(), flags.as_ptr().cast::<u8>().cast_mut(), banks)
+                    };
+                    work.ops += o;
+                    work.dynamic += d;
+                } else {
                     // SAFETY: the tier-1 program's footprint equals the
-                    // generic block's (R0501), which the footprint
-                    // layer proved level-disjoint and in-bounds
-                    // (R0502–R0504); banks are read-only here.
-                    Some(p) => unsafe {
-                        run_tier1_raw(
+                    // generic block's (R0501), which the footprint layer
+                    // proved disjoint from concurrent partitions and
+                    // in-bounds (R0502–R0504); banks are read-only here.
+                    unsafe {
+                        prof.run_tier1(
                             &progs[sched],
                             arena.get(),
                             mems,
-                            &ProfAtomicFlags {
-                                flags: &self.flags,
-                                caused: p.caused_cell(sched),
-                                woke: p.woke_output_cells(),
-                            },
-                            ops,
-                            &mut dynamic,
+                            flags,
+                            sched,
+                            &mut work.ops,
+                            &mut work.dynamic,
                         )
-                    },
-                    // SAFETY: as above (R0501–R0504 footprint proof).
-                    None => unsafe {
-                        run_tier1_raw(
-                            &progs[sched],
-                            arena.get(),
-                            mems,
-                            &AtomicFlags(&self.flags),
-                            ops,
-                            &mut dynamic,
-                        )
-                    },
+                    }
                 }
             }
             // SAFETY: the generic block's footprint is exactly what the
-            // footprint layer analyzed and proved level-disjoint and
-            // in-bounds (R0502–R0504); banks are read-only here.
+            // footprint layer analyzed and proved disjoint from
+            // concurrent partitions and in-bounds (R0502–R0504); banks
+            // are read-only here.
             None => unsafe {
-                machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
+                machine::run_items_raw(&seq.blocks[sched].items, arena.get(), mems, &mut work.ops)
             },
         }
-        // Elided registers: private slots, single writer.
-        for (next_off, out_off, w, ri, wake) in &tr.regs {
+        // Elided registers: private slots, single writer. (The parallel
+        // plan elides no memory write.)
+        debug_assert!(span(spans.writes).is_empty());
+        for r in &tr.regs[span(spans.regs)] {
+            work.dynamic += 1;
             // SAFETY: the elided register's `next` and `out` slots are
             // in this partition's footprint (counted by the footprint
-            // layer's engine-access pass), hence level-exclusive.
+            // layer's engine-access pass), hence exclusive to it.
             let changed = unsafe {
                 machine::commit_state_raw(
                     arena.get(),
-                    *next_off as usize,
-                    *out_off as usize,
-                    *w as usize,
+                    r.next as usize,
+                    r.out as usize,
+                    r.words as usize,
                 )
             };
             if changed {
-                for &c in wake {
-                    self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = prof {
-                        p.wake_state_reg(*ri as usize, c);
-                    }
+                for &c in &tr.reg_wakes[span(r.wakes)] {
+                    flags[c as usize].raise();
+                    prof.wake_state_reg(r.plan as usize, c);
                 }
             }
         }
         // Output triggers.
-        for (oi, &(off, w, old)) in tr.outs.iter().enumerate() {
+        for o in span(spans.outs) {
+            work.dynamic += 1;
+            let (off, w, old) = (tr.out_off[o], tr.out_words[o], tr.old_off[o]);
             #[cfg(feature = "race-sanitizer")]
             crate::sanitizer::note_read(off, w as u32);
             // SAFETY: output slots are written only by this partition
-            // within the level (R0502/R0503); the snapshot range is
-            // private. Both ranges are in-bounds by construction.
+            // (R0502/R0503); the snapshot range is private. Both ranges
+            // are in-bounds by construction.
             let (cur, snap) = unsafe {
                 (
                     std::slice::from_raw_parts(arena.get().add(off as usize), w as usize),
-                    std::slice::from_raw_parts(old_vals.add(old as usize), w as usize),
+                    std::slice::from_raw_parts(old_vals.get().add(old as usize), w as usize),
                 )
             };
             if cur != snap {
-                let (s, e) = tr.cons[oi];
-                for ci in s..e {
-                    self.flags[tr.consumers[ci as usize] as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = prof {
-                        p.wake_output(sched, tr.consumers[ci as usize]);
-                    }
+                for &c in &tr.consumers[tr.cons_start[o] as usize..tr.cons_end[o] as usize] {
+                    flags[c as usize].raise();
+                    prof.wake_output(sched, c);
                 }
             }
         }
@@ -753,54 +567,56 @@ impl ParEssentSim {
     /// # Safety
     ///
     /// As [`ParEssentSim::eval_partition`].
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn claim_and_eval(
+    unsafe fn claim_and_eval<P: Profiler>(
         &self,
         p: usize,
-        tid: usize,
         arena: ArenaPtr,
         banks: &[MemBank],
-        old_vals: *mut u64,
-        ops: &mut u64,
+        flags: &[AtomicBool],
+        old_vals: OldPtr,
+        work: &mut Work,
+        prof: &mut P,
     ) {
-        if self.flags[p].load(Ordering::Relaxed) && self.flags[p].swap(false, Ordering::Relaxed) {
-            match self.profile.as_deref() {
-                Some(prof) => {
-                    let t0 = prof.eval_begin(p);
-                    let mut part_ops = 0u64;
-                    // SAFETY: caller's contract.
-                    unsafe {
-                        self.eval_partition(p, arena, banks, old_vals, &mut part_ops, Some(prof))
-                    };
-                    prof.eval_end_on(p, tid as u32, t0, part_ops);
-                    *ops += part_ops;
-                }
-                // SAFETY: caller's contract.
-                None => unsafe { self.eval_partition(p, arena, banks, old_vals, ops, None) },
-            }
-        } else if let Some(prof) = self.profile.as_deref() {
+        if flags[p].load(Ordering::Relaxed) && flags[p].swap(false, Ordering::Relaxed) {
+            let ops_before = work.ops;
+            let t0 = prof.eval_begin(p);
+            // SAFETY: caller's contract.
+            unsafe { self.eval_partition(p, arena, banks, flags, old_vals, work, prof) };
+            prof.eval_end(p, t0, work.ops - ops_before);
+        } else {
             prof.unit_skip(p);
         }
     }
 
-    /// End-of-cycle serial phase: printf/stop sampling, memory writes,
-    /// and non-elided register commits, with their wake flags.
+    /// End-of-cycle serial phase, as [`EssentSim`]'s cycle closes:
+    /// printf/stop sampling, memory writes, and non-elided register
+    /// commits, with their wake flags.
     ///
     /// # Safety
     ///
     /// No concurrently running partition evaluation may touch any arena
-    /// word or memory bank this phase accesses. On one worker nothing
-    /// runs concurrently; on several, only *exempt* partitions do,
-    /// whose footprints the dependence analysis proves disjoint from
-    /// the serial footprint (verified as S0602).
-    unsafe fn serial_phase(&self, arena: ArenaPtr, mems: &MemsPtr, run: &mut RunTally) {
-        let netlist = &*self.machine.netlist;
-        let layout = &self.machine.layout;
-        for p in netlist.printfs() {
-            // SAFETY: serial-footprint word (caller's contract), layout
-            // offsets in-bounds by construction.
-            let en = unsafe { *arena.get().add(layout.offset(p.en)) } & 1 == 1;
-            if en && self.machine.capture_printf {
+    /// word or memory bank this phase accesses: only *exempt* partitions
+    /// run concurrently, whose footprints the dependence analysis
+    /// proves disjoint from the serial footprint (verified as S0602).
+    unsafe fn serial_phase<P: Profiler>(
+        &self,
+        arena: ArenaPtr,
+        mems: &MemsPtr,
+        flags: &[AtomicBool],
+        run: &mut RunTally,
+        prof: &mut P,
+    ) {
+        let seq = &self.seq;
+        let (netlist, layout, plan) = (&*seq.machine.netlist, &seq.machine.layout, &seq.plan);
+        if seq.machine.capture_printf {
+            for p in netlist.printfs() {
+                // SAFETY: serial-footprint word (caller's contract),
+                // layout offsets in-bounds by construction.
+                if unsafe { *arena.get().add(layout.offset(p.en)) } & 1 == 0 {
+                    continue;
+                }
                 let args: Vec<Bits> = p
                     .args
                     .iter()
@@ -827,28 +643,26 @@ impl ParEssentSim {
         }
         // Memory writes (all serial in this engine), then register
         // commits.
-        for (m, ports) in self.mem_write_plan.iter().enumerate() {
-            for (w, &wi) in ports.iter().enumerate() {
-                run.static_checks += 1;
-                // SAFETY: the banks are serial-phase-exclusive (caller's
-                // contract: no worker or bank-disjoint ones by S0602).
-                let bank = unsafe { &mut *mems.get().0.add(m) };
-                // SAFETY: serial-footprint words; `m`/`w` index real
-                // mems/writers, layout is in-bounds.
-                let changed =
-                    unsafe { machine::run_mem_write_raw(netlist, layout, arena.get(), bank, m, w) };
-                if let (true, Some(wi)) = (changed, wi) {
-                    for &c in &self.plan.mem_write_plans[wi].wake_on_change {
-                        self.flags[c as usize].store(true, Ordering::Relaxed);
-                        if let Some(p) = self.profile.as_deref() {
-                            p.wake_state_mem(wi, c);
-                        }
-                    }
+        for &wi in &seq.commit_writes {
+            let wp = &plan.mem_write_plans[wi];
+            let m = wp.mem.index();
+            // SAFETY: the banks are serial-phase-exclusive (caller's
+            // contract: concurrent partitions read no written bank,
+            // S0602); `m` indexes a real bank.
+            let bank = unsafe { &mut *mems.0.add(m) };
+            // SAFETY: serial-footprint words; `m`/`writer` index real
+            // mems/writers, layout is in-bounds.
+            let changed = unsafe {
+                machine::run_mem_write_raw(netlist, layout, arena.get(), bank, m, wp.writer)
+            };
+            if changed {
+                for &c in &wp.wake_on_change {
+                    flags[c as usize].raise();
+                    prof.wake_state_mem(wi, c);
                 }
             }
         }
-        for &ri in &self.commit_regs {
-            run.static_checks += 1;
+        for &ri in &seq.commit_regs {
             let reg = &netlist.regs()[ri];
             // SAFETY: `next` and `out` are distinct in-bounds layout
             // ranges in the serial footprint (non-elided registers).
@@ -861,74 +675,39 @@ impl ParEssentSim {
                 )
             };
             if changed {
-                for &c in &self.plan.reg_plans[ri].wake_on_change {
-                    self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = self.profile.as_deref() {
-                        p.wake_state_reg(ri, c);
-                    }
+                for &c in &plan.reg_plans[ri].wake_on_change {
+                    flags[c as usize].raise();
+                    prof.wake_state_reg(ri, c);
                 }
             }
         }
         run.ran += 1;
     }
 
-    /// Folds one run's tally back into the machine; returns the cycles
-    /// run.
-    fn finish_run(&mut self, run: RunTally, ops: u64) -> u64 {
-        let m = &mut self.machine;
-        m.counters.ops_evaluated += ops;
-        m.counters.static_checks += run.static_checks;
-        m.counters.cycles += run.ran;
-        m.cycle += run.ran;
-        m.halted = run.halted;
-        m.printf_log.extend(run.printf_log);
-        run.ran
-    }
-
-    /// The one-worker sweep on the calling thread: schedule order alone
-    /// carries every dependence, so no signaling is needed — each cycle
-    /// is a chunked idle scan over the flags, then the serial phase.
-    fn run_collapsed(&mut self, n: u64) -> u64 {
-        let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
-        let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
-        let old_vals = self.old_vals.as_mut_ptr();
-        let mut run = RunTally::new(self.machine.halted);
-        let mut ops = 0u64;
-        let this = &*self;
-        let prof = this.profile.as_deref();
-        // SAFETY: one thread; banks are written only by the serial
-        // phase below, between scans.
-        let banks = unsafe { mems.banks() };
-        while run.ran < n && run.halted.is_none() {
-            if let Some(p) = prof {
-                p.begin_cycle();
-            }
-            // SAFETY: `AtomicBool` is one byte (0 or 1) and no other
-            // thread exists; evaluation in schedule order on one thread
-            // satisfies `claim_and_eval`'s contract.
-            unsafe {
-                scan_flags(
-                    this.flags.as_ptr().cast::<u8>(),
-                    this.flags.len(),
-                    &mut ops,
-                    |_, s| {
-                        if let Some(p) = prof {
-                            (s..s + 8).for_each(|q| p.unit_skip(q));
-                        }
-                    },
-                    |ops, p| this.claim_and_eval(p, 0, arena, banks, old_vals, ops),
-                )
-            };
-            // SAFETY: no other worker exists.
-            unsafe { this.serial_phase(arena, &mems, &mut run) };
+    /// The N-worker schedule for `n` cycles, with the engine's profile
+    /// (if any) taken out for the run so the runtime monomorphizes over
+    /// it as [`EssentSim`]'s cycle loop does. A schedule with one worker
+    /// runs [`EssentSim`]'s cycle instead.
+    fn run_fanned(&mut self, n: u64) -> u64 {
+        if self.fanout().sched.worker_count() == 1 {
+            return self.seq.step(n);
         }
-        self.finish_run(run, ops)
+        if n == 0 || self.seq.machine.halted.is_some() {
+            return 0;
+        }
+        match self.seq.profile.take() {
+            Some(mut p) => {
+                let ran = self.run_workers(n, &mut *p);
+                self.seq.profile = Some(p);
+                ran
+            }
+            None => self.run_workers(n, &mut NoProfile),
+        }
     }
 
     /// The N-worker dataflow runtime: no barriers — each worker walks
     /// its static partition list every cycle, synchronizing through
-    /// per-partition `done` cycle counters. A schedule with one worker
-    /// runs [`ParEssentSim::run_collapsed`] instead.
+    /// per-partition `done` cycle counters.
     ///
     /// Protocol, per worker `t`, cycle `k` (1-based), partition `p`:
     ///
@@ -957,38 +736,42 @@ impl ParEssentSim {
     /// order, so all same-cycle waiting follows a total order; `waits_prev`
     /// and `serial_done` waits reference strictly earlier cycles
     /// (verified as S0603/S0605).
-    fn run_fanned(&mut self, n: u64) -> u64 {
-        if self.fanout().sched.worker_count() == 1 {
-            return self.run_collapsed(n);
-        }
-        if n == 0 || self.machine.halted.is_some() {
-            return 0;
-        }
-        let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
-        let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
-        let old_ptr = OldPtr(self.old_vals.as_mut_ptr());
-        let fo = self.fanout.as_ref().expect("built above");
+    ///
+    /// Each other worker counts into its own [`Profiler::fork`], folded
+    /// into `prof` after the run.
+    fn run_workers<P: Profiler + Send>(&mut self, n: u64, prof: &mut P) -> u64 {
+        let np = self.seq.plan.partitions.len();
+        let arena = ArenaPtr(self.seq.machine.arena.as_mut_ptr());
+        let mems = MemsPtr(
+            self.seq.machine.mems.as_mut_ptr(),
+            self.seq.machine.mems.len(),
+        );
+        let old_vals = OldPtr(self.seq.triggers.old_vals.as_mut_ptr());
+        // SAFETY: `AtomicBool` has the same size, alignment and bit
+        // validity as `bool`; the flag vector is borrowed mutably here
+        // and, until this run returns, accessed only through this view.
+        let flags: &[AtomicBool] =
+            unsafe { std::slice::from_raw_parts(self.seq.flags.as_mut_ptr().cast(), np) };
+        let this = &*self;
+        let fo = this.fanout.as_ref().expect("built by run_fanned");
         let ds = &fo.sched;
-        let np = self.plan.partitions.len();
 
         let done: Vec<AtomicU64> = (0..np).map(|_| AtomicU64::new(0)).collect();
         let serial_done = AtomicU64::new(0);
         // First cycle (exclusive) every worker must bail before; a stop
         // at cycle `k` halts the run after cycle `k` completes.
         let halt_at = AtomicU64::new(u64::MAX);
-        let total_ops = AtomicUsize::new(0);
-        let mut run = RunTally::new(self.machine.halted);
+        let mut run = RunTally::new(this.seq.machine.halted);
+        let mut work = Work::default();
 
         // Reserve one epoch per cycle so the sanitizer can tell
         // overlapping cycles apart (no-op without the feature).
         #[cfg(feature = "race-sanitizer")]
-        let epoch_base = self
+        let epoch_base = this
             .shadow
             .as_deref()
             .map(|s| s.advance_base(n + 2))
             .unwrap_or(0);
-
-        let this = &*self;
 
         // Bounded-spin wait: true once `ctr >= target`, false if a halt
         // before cycle `k` is published first (the worker must bail).
@@ -1011,7 +794,7 @@ impl ParEssentSim {
         };
         // One worker's sweep of its partition list for cycle `k`;
         // returns false when the worker must bail (halt published).
-        let sweep = |tid: usize, k: u64, ops: &mut u64| -> bool {
+        let sweep = |tid: usize, k: u64, work: &mut Work, prof: &mut P| -> bool {
             // SAFETY: banks are written only in the serial phase, which
             // runs concurrently only with exempt partitions whose bank
             // reads are disjoint from every written bank (S0602);
@@ -1052,7 +835,7 @@ impl ParEssentSim {
                     // covered by a wait edge passed above (S0601), and
                     // cross-cycle overlap only pairs footprint-disjoint
                     // partitions (S0602/S0604).
-                    unsafe { this.claim_and_eval(p, tid, arena, banks, old_ptr.get(), ops) };
+                    unsafe { this.claim_and_eval(p, arena, banks, flags, old_vals, work, prof) };
                 }
                 // Publish a halt bound for any owned stop bits BEFORE
                 // `done[p]`, so every wait on `done[p] >= k` also sees
@@ -1073,28 +856,29 @@ impl ParEssentSim {
             true
         };
 
+        let forks: Vec<P> = (1..ds.worker_count()).map(|_| prof.fork()).collect();
         std::thread::scope(|scope| {
             let sweep = &sweep;
-            let handles: Vec<_> = (1..ds.worker_count())
-                .map(|t| {
+            let handles: Vec<_> = forks
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut fork)| {
                     scope.spawn(move || {
-                        let mut ops = 0u64;
+                        let mut work = Work::default();
                         for k in 1..=n {
-                            if !sweep(t, k, &mut ops) {
+                            fork.begin_cycle();
+                            if !sweep(i + 1, k, &mut work, &mut fork) {
                                 break;
                             }
                         }
-                        ops
+                        (work, fork)
                     })
                 })
                 .collect();
 
-            let mut ops0 = 0u64;
             for k in 1..=n {
-                if let Some(p) = this.profile.as_deref() {
-                    p.begin_cycle();
-                }
-                if !sweep(0, k, &mut ops0) {
+                prof.begin_cycle();
+                if !sweep(0, k, &mut work, prof) {
                     break;
                 }
                 // Close cycle `k`: every worker's last partition done.
@@ -1110,7 +894,7 @@ impl ParEssentSim {
                 // exempt partitions at cycle `k+1`, whose footprints
                 // the dependence analysis proves disjoint from every
                 // word and bank the serial phase touches (S0602).
-                unsafe { this.serial_phase(arena, &mems, &mut run) };
+                unsafe { this.serial_phase(arena, &mems, flags, &mut run, prof) };
                 if run.halted.is_some() {
                     // The halting cycle still counts (it completed);
                     // everything later bails before touching flags.
@@ -1119,15 +903,43 @@ impl ParEssentSim {
                 }
                 serial_done.store(k, Ordering::Release);
             }
-            total_ops.fetch_add(ops0 as usize, Ordering::Relaxed);
-            for h in handles {
-                total_ops.fetch_add(h.join().expect("worker join") as usize, Ordering::Relaxed);
+            for (i, h) in handles.into_iter().enumerate() {
+                let (w, fork) = h.join().expect("worker join");
+                work.ops += w.ops;
+                work.dynamic += w.dynamic;
+                prof.absorb(fork, i as u32 + 1);
             }
         });
 
         self.fanout_cycles += run.ran;
-        self.finish_run(run, total_ops.load(Ordering::Relaxed) as u64)
+        self.finish_run(run, work)
     }
+
+    /// Folds one fanned-out run's tally back into the machine, booking
+    /// the static checks [`EssentSim`]'s cycle books: one flag test per
+    /// partition and one commit check per serial write or register, per
+    /// cycle. Returns the cycles run.
+    fn finish_run(&mut self, run: RunTally, work: Work) -> u64 {
+        let seq = &mut self.seq;
+        let per_cycle =
+            (seq.plan.partitions.len() + seq.commit_writes.len() + seq.commit_regs.len()) as u64;
+        let c = &mut seq.machine.counters;
+        c.ops_evaluated += work.ops;
+        c.dynamic_checks += work.dynamic;
+        c.static_checks += per_cycle * run.ran;
+        c.cycles += run.ran;
+        seq.machine.cycle += run.ran;
+        seq.machine.halted = run.halted;
+        seq.machine.printf_log.extend(run.printf_log);
+        run.ran
+    }
+}
+
+/// One worker's share of a fanned-out run's work counters.
+#[derive(Default)]
+struct Work {
+    ops: u64,
+    dynamic: u64,
 }
 
 /// Serial-phase state of one run, folded back into the machine by
@@ -1136,7 +948,6 @@ struct RunTally {
     ran: u64,
     halted: Option<u64>,
     printf_log: Vec<String>,
-    static_checks: u64,
 }
 
 impl RunTally {
@@ -1145,50 +956,32 @@ impl RunTally {
             ran: 0,
             halted,
             printf_log: Vec::new(),
-            static_checks: 0,
         }
     }
 }
 
 impl Simulator for ParEssentSim {
     fn poke(&mut self, name: &str, value: Bits) {
-        let id = self.machine.netlist.expect_signal(name);
-        assert!(
-            matches!(
-                self.machine.netlist.signal(id).def,
-                essent_netlist::SignalDef::Input
-            ),
-            "`{name}` is not an input"
-        );
-        if self.machine.set_value(id, &value) {
-            if let Some(wakes) = self.input_wake.get(&id) {
-                for &c in wakes {
-                    self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = self.profile.as_deref() {
-                        p.wake_input(id, c);
-                    }
-                }
-            }
-        }
+        self.seq.poke(name, value);
     }
 
     fn step(&mut self, n: u64) -> u64 {
-        if self.machine.halted.is_some() || n == 0 {
+        if self.seq.machine.halted.is_some() || n == 0 {
             return 0;
         }
         let mut first = 0;
-        if self.machine.cycle == 0 && !self.force_fanout {
+        if self.seq.machine.cycle == 0 && !self.force_fanout {
             // The first cycle evaluates every partition (all flags start
             // set): run it on its own and keep it out of the window.
-            first = self.run_collapsed(1);
+            first = self.seq.step(1);
         }
-        let ops_before = self.machine.counters.ops_evaluated;
+        let ops_before = self.seq.machine.counters.ops_evaluated;
         let rest = if self.force_fanout || fans_out(self.threads, n, self.window) {
             self.run_fanned(n - first)
         } else {
-            self.run_collapsed(n - first)
+            self.seq.step(n - first)
         };
-        self.window = (self.machine.counters.ops_evaluated - ops_before, rest);
+        self.window = (self.seq.machine.counters.ops_evaluated - ops_before, rest);
         first + rest
     }
 
@@ -1197,10 +990,12 @@ impl Simulator for ParEssentSim {
     }
 
     fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile.as_ref().map(|p| p.report("essent-parallel"))
+        self.seq
+            .profile_arena()
+            .map(|p| p.report("essent-parallel"))
     }
 
-    delegate_simulator_basics!();
+    delegate_simulator_basics!(seq.machine);
 }
 
 #[cfg(test)]
@@ -1537,6 +1332,54 @@ mod tests {
         }
     }
 
+    /// One profile per engine: whichever path ran each cycle, the one
+    /// report decomposes the work counters exactly — every op charged
+    /// to one unit, every partition evaluated or skipped every cycle.
+    #[test]
+    fn profile_report_sums_to_work_counters_on_every_path() {
+        let n = netlist_of(&register_farm(96));
+        let cfg = EngineConfig {
+            c_p: 2,
+            profile: true,
+            ..EngineConfig::default()
+        };
+        // (label, threads, cycle from which the run is forced to fan out)
+        for (label, threads, force_at) in [
+            ("collapsed", 2, None),
+            ("forced", 2, Some(0)),
+            ("forced", 4, Some(0)),
+            ("mixed", 3, Some(20)),
+        ] {
+            let mut sim = ParEssentSim::new(&n, &cfg, threads);
+            for call in 0..12u64 {
+                if force_at.is_some_and(|c| sim.cycle() >= c) {
+                    sim.force_fanout();
+                }
+                sim.poke("x", Bits::from_u64((call * 0x9E37) & 0xffff, 16));
+                sim.step(call % 3 * 5 + 1);
+            }
+            let tag = format!("{label} threads={threads}");
+            assert_eq!(sim.fanout_cycles() > 0, force_at.is_some(), "{tag}");
+            let c = sim.counters();
+            let report = sim.profile_report().expect("profile is on");
+            assert_eq!(report.engine, "essent-parallel");
+            assert_eq!(report.cycles, c.cycles, "{tag}");
+            assert_eq!(report.total_ops(), c.ops_evaluated, "{tag}");
+            assert_eq!(
+                report.total_evals() + report.total_skips(),
+                sim.partition_count() as u64 * c.cycles,
+                "{tag}"
+            );
+            let buckets = c.cycles.div_ceil(report.bucket) as usize;
+            assert_eq!(report.heat.len(), buckets * sim.partition_count(), "{tag}");
+            assert_eq!(
+                report.heat.iter().sum::<u64>(),
+                report.total_evals(),
+                "{tag}"
+            );
+        }
+    }
+
     #[test]
     fn dataflow_schedule_is_sane() {
         let n = netlist_of(COUNTER);
@@ -1573,7 +1416,10 @@ mod tests {
         );
         assert!(sim.level_count() >= 1);
         assert_eq!(
-            plan_levels(&sim.plan).iter().map(Vec::len).sum::<usize>(),
+            plan_levels(&sim.seq.plan)
+                .iter()
+                .map(Vec::len)
+                .sum::<usize>(),
             sim.partition_count()
         );
     }

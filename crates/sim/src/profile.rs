@@ -22,8 +22,8 @@
 //!   activity test) plus one counter increment per unit per cycle.
 //! * **Wake-cause attribution.** Every consumer wake is charged to its
 //!   trigger: the *producer partition* whose output changed (including
-//!   wakes fused into tier-1 instructions, via [`ProfCellFlags`] /
-//!   [`ProfAtomicFlags`](crate::step1::ProfAtomicFlags)), the *state
+//!   wakes fused into tier-1 instructions, via
+//!   [`ProfFlags`](crate::step1::ProfFlags)), the *state
 //!   element* (register / memory write plan) whose commit changed, or
 //!   the external *input* that was poked. Attribution goes through a
 //!   [`ProfileWiring`] table that `essent-verify` audits independently
@@ -41,14 +41,14 @@
 //! (Chrome `trace_event` JSON for per-cycle flame views).
 
 use crate::machine::MemBank;
-use crate::step1::{run_tier1_raw, CellFlags, ProfCellFlags, Tier1Program};
+use crate::step1::{run_tier1_raw, Flag, Flags, ProfFlags, Tier1Program};
 use essent_core::partition::ActivityPrior;
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalId};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A monotonic cycle-ish timestamp: `rdtsc` on x86-64, a nanosecond
 /// clock elsewhere. Only differences are meaningful; the unit is
@@ -201,6 +201,16 @@ pub trait Profiler {
     /// External input `input` changed and woke `consumer`.
     fn wake_input(&mut self, input: SignalId, consumer: u32);
 
+    /// A zeroed profile at this one's cycle position, for one worker of
+    /// a fanned-out run: each worker counts into its own fork, and
+    /// [`Profiler::absorb`] folds the forks back after the run.
+    fn fork(&self) -> Self;
+    /// Adds a fork's counters into this profile; `worker` becomes the
+    /// trace lane of the fork's recorded events. The fork's cycle count
+    /// is dropped: the calling thread's own [`Profiler::begin_cycle`]
+    /// calls count the run's cycles.
+    fn absorb(&mut self, fork: Self, worker: u32);
+
     /// Runs a tier-1 program for `producer`, wiring fused trigger wakes
     /// through the profiler (the tier-1 dispatch loop's probe point).
     ///
@@ -208,12 +218,12 @@ pub trait Profiler {
     ///
     /// Same contract as [`run_tier1_raw`].
     #[allow(clippy::too_many_arguments)]
-    unsafe fn run_tier1(
+    unsafe fn run_tier1<F: Flag>(
         &mut self,
         prog: &Tier1Program,
         arena: *mut u64,
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[F],
         producer: usize,
         ops: &mut u64,
         dynamic: &mut u64,
@@ -244,21 +254,27 @@ impl Profiler for NoProfile {
     fn wake_state_mem(&mut self, _mem_plan: usize, _consumer: u32) {}
     #[inline(always)]
     fn wake_input(&mut self, _input: SignalId, _consumer: u32) {}
+    #[inline(always)]
+    fn fork(&self) -> Self {
+        NoProfile
+    }
+    #[inline(always)]
+    fn absorb(&mut self, _fork: Self, _worker: u32) {}
 
     #[inline(always)]
-    unsafe fn run_tier1(
+    unsafe fn run_tier1<F: Flag>(
         &mut self,
         prog: &Tier1Program,
         arena: *mut u64,
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[F],
         _producer: usize,
         ops: &mut u64,
         dynamic: &mut u64,
     ) {
         // SAFETY: forwards this method's contract (same as
         // `run_tier1_raw`'s) unchanged.
-        unsafe { run_tier1_raw(prog, arena, mems, &CellFlags(flags), ops, dynamic) }
+        unsafe { run_tier1_raw(prog, arena, mems, &Flags(flags), ops, dynamic) }
     }
 }
 
@@ -266,8 +282,8 @@ impl Profiler for NoProfile {
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     pub unit: u32,
-    /// Worker thread that ran the activation (0 for sequential
-    /// engines). The Chrome exporter lays tracks out per worker, so
+    /// Worker thread that ran the activation (0 on the calling
+    /// thread). The Chrome exporter lays tracks out per worker, so
     /// dataflow-schedule stalls and cycle overlap are visible.
     pub worker: u32,
     pub cycle: u64,
@@ -305,7 +321,7 @@ pub fn chrome_trace_json(trace: &[TraceEvent], unit_names: &[String]) -> String 
 /// counters, a bucketed activity heatmap, and an optional trace window.
 #[derive(Debug, Clone)]
 pub struct ProfileArena {
-    wiring: ProfileWiring,
+    wiring: Arc<ProfileWiring>,
     /// Per unit: activations / sleeps / ops evaluated while active.
     evals: Vec<u64>,
     skips: Vec<u64>,
@@ -328,6 +344,9 @@ pub struct ProfileArena {
     input_index: HashMap<SignalId, u32>,
     /// Activations per unit per cycle bucket, bucket-major.
     heat: Vec<u64>,
+    /// Words of the parent's `heat` a [`Profiler::fork`] leaves out:
+    /// the fork's `heat[i]` is the parent's `heat[heat_base + i]`.
+    heat_base: usize,
     /// Cycles per heatmap bucket.
     bucket: u64,
     cycles: u64,
@@ -365,12 +384,13 @@ impl ProfileArena {
             input_causes: vec![0; inputs],
             input_index,
             heat: Vec::new(),
+            heat_base: 0,
             bucket: Self::DEFAULT_BUCKET,
             cycles: 0,
             trace_until: 0,
             trace: Vec::new(),
             time_stride: Self::DEFAULT_TIME_STRIDE,
-            wiring,
+            wiring: Arc::new(wiring),
         }
     }
 
@@ -447,8 +467,9 @@ impl ProfileArena {
     }
 
     /// Chrome `trace_event` JSON of the recorded window (see
-    /// [`chrome_trace_json`]); a sequential engine's events all share
-    /// worker lane 0.
+    /// [`chrome_trace_json`]); events of cycles run on the calling
+    /// thread share worker lane 0, a fanned-out run's use one lane per
+    /// worker.
     pub fn chrome_trace(&self) -> String {
         chrome_trace_json(&self.trace, &self.wiring.unit_names)
     }
@@ -530,18 +551,70 @@ impl Profiler for ProfileArena {
         self.woke_input[consumer as usize] += 1;
     }
 
-    unsafe fn run_tier1(
+    fn fork(&self) -> Self {
+        let units = self.wiring.units();
+        let heat_base = self.heat.len().saturating_sub(units);
+        ProfileArena {
+            wiring: Arc::clone(&self.wiring),
+            evals: vec![0; units],
+            skips: vec![0; units],
+            ops: vec![0; units],
+            time: vec![0; units],
+            timed_evals: vec![0; units],
+            stride_ctr: vec![0; units],
+            woke_output: vec![0; units],
+            woke_state: vec![0; units],
+            woke_input: vec![0; units],
+            caused: vec![0; units],
+            state_causes: vec![0; self.state_causes.len()],
+            input_causes: vec![0; self.input_causes.len()],
+            input_index: self.input_index.clone(),
+            heat: vec![0; self.heat.len() - heat_base],
+            heat_base,
+            bucket: self.bucket,
+            cycles: self.cycles,
+            trace_until: self.trace_until,
+            trace: Vec::new(),
+            time_stride: self.time_stride,
+        }
+    }
+
+    fn absorb(&mut self, fork: Self, worker: u32) {
+        let add = |into: &mut [u64], from: &[u64]| {
+            into.iter_mut().zip(from).for_each(|(a, b)| *a += b);
+        };
+        add(&mut self.evals, &fork.evals);
+        add(&mut self.skips, &fork.skips);
+        add(&mut self.ops, &fork.ops);
+        add(&mut self.time, &fork.time);
+        add(&mut self.timed_evals, &fork.timed_evals);
+        add(&mut self.woke_output, &fork.woke_output);
+        add(&mut self.woke_state, &fork.woke_state);
+        add(&mut self.woke_input, &fork.woke_input);
+        add(&mut self.caused, &fork.caused);
+        add(&mut self.state_causes, &fork.state_causes);
+        add(&mut self.input_causes, &fork.input_causes);
+        // Rows past this profile's own cycles belong to cycles a worker
+        // began but never evaluated (a halt): they hold no activations.
+        if let Some(heat) = self.heat.get_mut(fork.heat_base..) {
+            add(heat, &fork.heat);
+        }
+        self.trace
+            .extend(fork.trace.into_iter().map(|e| TraceEvent { worker, ..e }));
+    }
+
+    unsafe fn run_tier1<F: Flag>(
         &mut self,
         prog: &Tier1Program,
         arena: *mut u64,
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[F],
         producer: usize,
         ops: &mut u64,
         dynamic: &mut u64,
     ) {
         let slot = self.wiring.producer_slot[producer] as usize;
-        let sink = ProfCellFlags {
+        let sink = ProfFlags {
             flags,
             caused: Cell::from_mut(&mut self.caused[slot]),
             woke: Cell::from_mut(self.woke_output.as_mut_slice()).as_slice_of_cells(),
@@ -549,205 +622,6 @@ impl Profiler for ProfileArena {
         // SAFETY: forwards this method's contract (same as
         // `run_tier1_raw`'s) unchanged.
         unsafe { run_tier1_raw(prog, arena, mems, &sink, ops, dynamic) }
-    }
-}
-
-/// Thread-safe profile counters for the parallel engine: the same
-/// attribution scheme over relaxed atomics (mirroring
-/// [`AtomicFlags`](crate::step1::AtomicFlags)). Eval timing is per
-/// activation (no stride batching — workers own no per-unit state).
-#[derive(Debug)]
-pub struct AtomicProfile {
-    wiring: ProfileWiring,
-    evals: Vec<AtomicU64>,
-    skips: Vec<AtomicU64>,
-    ops: Vec<AtomicU64>,
-    time: Vec<AtomicU64>,
-    timed_evals: Vec<AtomicU64>,
-    woke_output: Vec<AtomicU64>,
-    woke_state: Vec<AtomicU64>,
-    woke_input: Vec<AtomicU64>,
-    caused: Vec<AtomicU64>,
-    state_causes: Vec<AtomicU64>,
-    input_causes: Vec<AtomicU64>,
-    input_index: HashMap<SignalId, u32>,
-    cycles: AtomicU64,
-    /// Record [`TraceEvent`]s while `cycles <= trace_until` (per-worker
-    /// lanes; workers append under a mutex, which only trace-windowed
-    /// runs pay for).
-    trace_until: u64,
-    trace: std::sync::Mutex<Vec<TraceEvent>>,
-}
-
-fn azeros(n: usize) -> Vec<AtomicU64> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
-}
-
-impl AtomicProfile {
-    /// Fresh atomic arena over a wiring.
-    pub fn new(wiring: ProfileWiring) -> AtomicProfile {
-        let units = wiring.units();
-        let states = wiring.state_names.len();
-        let inputs = wiring.input_names.len();
-        let input_index = wiring.input_slot.iter().copied().collect();
-        AtomicProfile {
-            evals: azeros(units),
-            skips: azeros(units),
-            ops: azeros(units),
-            time: azeros(units),
-            timed_evals: azeros(units),
-            woke_output: azeros(units),
-            woke_state: azeros(units),
-            woke_input: azeros(units),
-            caused: azeros(units),
-            state_causes: azeros(states),
-            input_causes: azeros(inputs),
-            input_index,
-            cycles: AtomicU64::new(0),
-            trace_until: 0,
-            trace: std::sync::Mutex::new(Vec::new()),
-            wiring,
-        }
-    }
-
-    /// The wiring this arena charges counters through.
-    pub fn wiring(&self) -> &ProfileWiring {
-        &self.wiring
-    }
-
-    /// Record Chrome-trace events for the first `cycles` cycles.
-    pub fn set_trace_window(&mut self, cycles: u64) {
-        self.trace_until = cycles;
-    }
-
-    /// Chrome `trace_event` JSON of the recorded window (see
-    /// [`chrome_trace_json`]): one lane per worker, so dataflow stalls
-    /// and cycle overlap are visible.
-    pub fn chrome_trace(&self) -> String {
-        let trace = self.trace.lock().expect("trace lock");
-        chrome_trace_json(&trace, &self.wiring.unit_names)
-    }
-
-    #[inline]
-    pub fn begin_cycle(&self) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn unit_skip(&self, unit: usize) {
-        self.skips[unit].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn eval_begin(&self, unit: usize) -> u64 {
-        self.evals[unit].fetch_add(1, Ordering::Relaxed);
-        tick().max(1)
-    }
-
-    #[inline]
-    pub fn eval_end(&self, unit: usize, start: u64, ops_delta: u64) {
-        self.eval_end_on(unit, 0, start, ops_delta);
-    }
-
-    /// [`AtomicProfile::eval_end`] with the worker lane for the trace;
-    /// parallel engines pass their worker id so the Chrome export shows
-    /// real thread occupancy.
-    #[inline]
-    pub fn eval_end_on(&self, unit: usize, worker: u32, start: u64, ops_delta: u64) {
-        self.ops[unit].fetch_add(ops_delta, Ordering::Relaxed);
-        let dur = tick().saturating_sub(start);
-        self.time[unit].fetch_add(dur, Ordering::Relaxed);
-        self.timed_evals[unit].fetch_add(1, Ordering::Relaxed);
-        let cycle = self.cycles.load(Ordering::Relaxed);
-        if cycle <= self.trace_until {
-            self.trace.lock().expect("trace lock").push(TraceEvent {
-                unit: unit as u32,
-                worker,
-                cycle,
-                start,
-                dur,
-            });
-        }
-    }
-
-    #[inline]
-    pub fn wake_output(&self, producer: usize, consumer: u32) {
-        self.caused[self.wiring.producer_slot[producer] as usize].fetch_add(1, Ordering::Relaxed);
-        self.woke_output[consumer as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The producer-side `caused` counter cell for fused wake sinks.
-    #[inline]
-    pub fn caused_cell(&self, producer: usize) -> &AtomicU64 {
-        &self.caused[self.wiring.producer_slot[producer] as usize]
-    }
-
-    /// The consumer-side `woke_output` counters for fused wake sinks.
-    #[inline]
-    pub fn woke_output_cells(&self) -> &[AtomicU64] {
-        &self.woke_output
-    }
-
-    #[inline]
-    pub fn wake_state_reg(&self, reg_plan: usize, consumer: u32) {
-        self.state_causes[self.wiring.reg_slot[reg_plan] as usize].fetch_add(1, Ordering::Relaxed);
-        self.woke_state[consumer as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn wake_state_mem(&self, mem_plan: usize, consumer: u32) {
-        self.state_causes[self.wiring.mem_slot[mem_plan] as usize].fetch_add(1, Ordering::Relaxed);
-        self.woke_state[consumer as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn wake_input(&self, input: SignalId, consumer: u32) {
-        if let Some(&slot) = self.input_index.get(&input) {
-            self.input_causes[slot as usize].fetch_add(1, Ordering::Relaxed);
-        }
-        self.woke_input[consumer as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Summarizes the counters into an owned report (no heatmap — the
-    /// parallel engine records aggregates; the trace window is exported
-    /// separately via [`AtomicProfile::chrome_trace`]).
-    pub fn report(&self, engine: &'static str) -> ProfileReport {
-        let ld = |v: &[AtomicU64], i: usize| v[i].load(Ordering::Relaxed);
-        let units = (0..self.wiring.units())
-            .map(|u| UnitProfile {
-                name: self.wiring.unit_names[u].clone(),
-                evals: ld(&self.evals, u),
-                skips: ld(&self.skips, u),
-                ops: ld(&self.ops, u),
-                time: ld(&self.time, u),
-                timed_evals: ld(&self.timed_evals, u),
-                woke_output: ld(&self.woke_output, u),
-                woke_state: ld(&self.woke_state, u),
-                woke_input: ld(&self.woke_input, u),
-                caused: ld(&self.caused, u),
-            })
-            .collect();
-        ProfileReport {
-            engine,
-            cycles: self.cycles.load(Ordering::Relaxed),
-            bucket: 0,
-            units,
-            state_causes: self
-                .wiring
-                .state_names
-                .iter()
-                .cloned()
-                .zip(self.state_causes.iter().map(|a| a.load(Ordering::Relaxed)))
-                .collect(),
-            input_causes: self
-                .wiring
-                .input_names
-                .iter()
-                .cloned()
-                .zip(self.input_causes.iter().map(|a| a.load(Ordering::Relaxed)))
-                .collect(),
-            heat: Vec::new(),
-        }
     }
 }
 
@@ -1277,23 +1151,51 @@ mod tests {
         );
     }
 
+    /// Forks count one worker's share of a fanned-out run; absorbing
+    /// them yields the one report a single-thread run would give, with
+    /// heat rows aligned to the parent's cycles and trace events on
+    /// their workers' lanes.
     #[test]
-    fn atomic_profile_matches_scheme() {
-        let p = AtomicProfile::new(tiny_wiring(2));
-        p.begin_cycle();
-        let t = p.eval_begin(0);
-        p.eval_end(0, t, 7);
-        p.unit_skip(1);
-        p.wake_output(0, 1);
-        p.wake_state_reg(0, 1);
-        p.wake_input(SignalId(0), 0);
+    fn forks_absorb_into_one_report() {
+        let mut p = ProfileArena::new(tiny_wiring(2));
+        p.set_bucket(4);
+        p.set_time_stride(1);
+        p.set_trace_window(100);
+        for _ in 0..3 {
+            p.begin_cycle();
+            let t = p.eval_begin(0);
+            p.eval_end(0, t, 1);
+            p.unit_skip(1);
+        }
+        // A fanned-out run of three cycles: the calling thread counts
+        // the cycles and evaluates unit 0, the fork evaluates unit 1.
+        let mut f = p.fork();
+        for _ in 0..3 {
+            p.begin_cycle();
+            let t = p.eval_begin(0);
+            p.eval_end(0, t, 2);
+            f.begin_cycle();
+            let t = f.eval_begin(1);
+            f.eval_end(1, t, 7);
+            f.wake_output(1, 0);
+            f.wake_state_reg(0, 1);
+        }
+        p.absorb(f, 1);
         let r = p.report("essent-parallel");
-        assert_eq!(r.cycles, 1);
-        assert_eq!(r.units[0].ops, 7);
-        assert_eq!(r.units[1].woke_output, 1);
-        assert_eq!(r.units[0].caused, 1);
-        assert_eq!(r.state_causes[0].1, 1);
-        assert_eq!(r.input_causes[0].1, 1);
+        assert_eq!(r.cycles, 6);
+        assert_eq!((r.units[0].evals, r.units[0].ops), (6, 9));
+        assert_eq!(
+            (r.units[1].evals, r.units[1].skips, r.units[1].ops),
+            (3, 3, 21)
+        );
+        assert_eq!(r.units[1].caused, 3);
+        assert_eq!(r.units[0].woke_output, 3);
+        assert_eq!(r.state_causes[0].1, 3);
+        // Buckets of four cycles: unit 1 ran in cycles 4 (bucket 0) and
+        // 5..6 (bucket 1).
+        assert_eq!(r.heat, vec![4, 1, 2, 2]);
+        assert_eq!(p.trace.iter().filter(|e| e.worker == 1).count(), 3);
+        assert!(p.trace.iter().all(|e| (e.worker == 1) == (e.unit == 1)));
     }
 
     /// A report with distinct values in every field.

@@ -12,9 +12,10 @@
 //!
 //! The recording context is thread-local and set only around
 //! `ParEssentSim`'s fanned-out partition evaluation ([`enter_at`]); the
-//! serial phase, the one-worker sweep and the sequential engines never
-//! set it, so their accesses through the shared executors are no-ops. With the feature disabled, none of
-//! this module exists and the hooks compile away entirely.
+//! serial phase and every cycle run on the calling thread never set it,
+//! so their accesses through the shared executors are no-ops. With the
+//! feature disabled, none of this module exists and the hooks compile
+//! away entirely.
 
 use std::cell::Cell;
 use std::collections::HashSet;

@@ -36,8 +36,10 @@
 //! a property `essent-verify` re-proves (`B0212`).
 
 use crate::compile::{ArgRef, Block, DstRef, Item, Step, StepKind};
+use crate::engine::EngineConfig;
 use crate::machine::{run_items_raw, MemBank, WorkCounters};
 use essent_bits::top_mask;
+use essent_core::plan::{CcssPlan, PartitionPlan};
 use essent_netlist::{Netlist, OpKind, SignalId};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -216,9 +218,9 @@ pub struct Tier1Program {
     pub stats: TierStats,
 }
 
-/// Where fused trigger writes land. The sequential engine passes interior-
-/// mutable flag cells, the parallel engine atomics, and the full-cycle
-/// engine (no triggers) a sink that ignores wakes.
+/// Where fused trigger writes land. The CCSS engines pass their
+/// activity flags ([`Flags`], [`ProfFlags`]), and the full-cycle engine
+/// (no triggers) a sink that ignores wakes.
 pub trait FlagSink {
     fn wake(&self, consumer: u32);
 }
@@ -231,60 +233,55 @@ impl FlagSink for NoWake {
     fn wake(&self, _consumer: u32) {}
 }
 
-/// Single-threaded flag writes through `Cell`s.
-pub struct CellFlags<'a>(pub &'a [Cell<bool>]);
+/// One partition activity flag: a [`Cell<bool>`] on the calling thread,
+/// an [`AtomicBool`] while the parallel engine is fanned out (relaxed
+/// stores: the flags are only consumed after the cycle's or the
+/// edge's synchronization).
+pub trait Flag {
+    fn raise(&self);
+}
 
-impl FlagSink for CellFlags<'_> {
+impl Flag for Cell<bool> {
     #[inline(always)]
-    fn wake(&self, consumer: u32) {
-        self.0[consumer as usize].set(true);
+    fn raise(&self) {
+        self.set(true);
     }
 }
 
-/// Cross-thread flag writes with relaxed atomics (the flags are only
-/// consumed at the next level/cycle boundary, which synchronizes).
-pub struct AtomicFlags<'a>(pub &'a [AtomicBool]);
-
-impl FlagSink for AtomicFlags<'_> {
+impl Flag for AtomicBool {
     #[inline(always)]
-    fn wake(&self, consumer: u32) {
-        self.0[consumer as usize].store(true, Ordering::Relaxed);
+    fn raise(&self) {
+        self.store(true, Ordering::Relaxed);
     }
 }
 
-/// [`CellFlags`] plus wake attribution: charges each fused wake to the
+/// Plain flag writes.
+pub struct Flags<'a, F>(pub &'a [F]);
+
+impl<F: Flag> FlagSink for Flags<'_, F> {
+    #[inline(always)]
+    fn wake(&self, consumer: u32) {
+        self.0[consumer as usize].raise();
+    }
+}
+
+/// [`Flags`] plus wake attribution: charges each fused wake to the
 /// producing partition (`caused`) and the woken consumer (`woke`). The
-/// enabled arm of the profiler's monomorphized tier dispatch.
-pub struct ProfCellFlags<'a> {
-    pub flags: &'a [Cell<bool>],
+/// enabled arm of the profiler's monomorphized tier dispatch; the
+/// counters belong to one thread's profile.
+pub struct ProfFlags<'a, F> {
+    pub flags: &'a [F],
     pub caused: &'a Cell<u64>,
     pub woke: &'a [Cell<u64>],
 }
 
-impl FlagSink for ProfCellFlags<'_> {
+impl<F: Flag> FlagSink for ProfFlags<'_, F> {
     #[inline(always)]
     fn wake(&self, consumer: u32) {
-        self.flags[consumer as usize].set(true);
+        self.flags[consumer as usize].raise();
         self.caused.set(self.caused.get() + 1);
         let w = &self.woke[consumer as usize];
         w.set(w.get() + 1);
-    }
-}
-
-/// [`AtomicFlags`] plus wake attribution, for the parallel engine's
-/// profiled tier path.
-pub struct ProfAtomicFlags<'a> {
-    pub flags: &'a [AtomicBool],
-    pub caused: &'a std::sync::atomic::AtomicU64,
-    pub woke: &'a [std::sync::atomic::AtomicU64],
-}
-
-impl FlagSink for ProfAtomicFlags<'_> {
-    #[inline(always)]
-    fn wake(&self, consumer: u32) {
-        self.flags[consumer as usize].store(true, Ordering::Relaxed);
-        self.caused.fetch_add(1, Ordering::Relaxed);
-        self.woke[consumer as usize].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -656,6 +653,41 @@ pub fn lower_tier1(netlist: &Netlist, block: &Block, outs: &[OutSpec], fuse: boo
         unfused,
         stats,
     }
+}
+
+impl OutSpec {
+    /// A partition's outputs as trigger-fusion candidates.
+    pub fn of_partition(part: &PartitionPlan) -> Vec<OutSpec> {
+        part.outputs
+            .iter()
+            .map(|o| OutSpec {
+                sig: o.signal,
+                consumers: o.consumers.clone(),
+            })
+            .collect()
+    }
+}
+
+/// Lowers every partition of a CCSS plan the way the CCSS engines run
+/// it: `None` unless `config.tier1`; trigger fusion when
+/// `config.fuse_triggers` and push-direction triggering are both on
+/// (pull mode detects changes by input snapshots and must not consume
+/// the outputs' consumer wakes). `blocks` are the plan's compiled
+/// partitions, in schedule order.
+pub fn lower_plan(
+    netlist: &Netlist,
+    plan: &CcssPlan,
+    blocks: &[Block],
+    config: &EngineConfig,
+) -> Option<Vec<Tier1Program>> {
+    let fuse = config.fuse_triggers && config.trigger_push;
+    config.tier1.then(|| {
+        plan.partitions
+            .iter()
+            .zip(blocks)
+            .map(|(part, block)| lower_tier1(netlist, block, &OutSpec::of_partition(part), fuse))
+            .collect()
+    })
 }
 
 /// Sign-extends a normalized one-word value by shift `s` (0 = identity).

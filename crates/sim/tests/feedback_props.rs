@@ -2,8 +2,8 @@
 //! two paths: the activity-guided merge phase is pure scheduling — it
 //! may regroup partitions but can never break the exact-cover/acyclicity
 //! invariants or change observable behavior — and the N-worker dataflow
-//! schedule is execution-equivalent to the one-worker sweep, cycle for
-//! cycle, counter for counter.
+//! schedule is execution-equivalent to the engine's collapsed runs
+//! (`EssentSim`'s cycle), cycle for cycle, counter for counter.
 
 use essent_bits::Bits;
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
@@ -150,7 +150,7 @@ fn check_feedback_loop(seed: u64) {
 }
 
 /// The parallel engine's forced N-worker dataflow schedule vs. its
-/// collapsed one-worker sweep vs. the sequential engine vs. the golden
+/// collapsed runs vs. the sequential engine vs. the golden
 /// interpreter across the optimization matrix: the schedule may only
 /// change *when* a partition runs relative to others (ready-flag waits,
 /// cycle-boundary overlap for exempt partitions), never whether it runs

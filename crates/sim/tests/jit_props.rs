@@ -103,7 +103,7 @@ fn check_jit_essent(seed: u64, config: &EngineConfig) {
 
 /// Parallel engine (3 workers), every partition force-compiled, vs
 /// golden; mid-run deopt subset as above. Covers both the collapsed
-/// one-worker sweep and, with `fanout`, the forced N-worker schedule.
+/// collapsed runs and, with `fanout`, the forced N-worker schedule.
 fn check_jit_par(seed: u64, config: &EngineConfig, fanout: bool) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);

@@ -302,6 +302,12 @@ fn check_other_engine_twins(seed: u64) {
             Box::new(ParEssentSim::new(&netlist, &base, 3)),
             Box::new(ParEssentSim::new(&netlist, &on, 3)),
         ));
+        let forced = |cfg: &EngineConfig| {
+            let mut sim = ParEssentSim::new(&netlist, cfg, 3);
+            sim.force_fanout();
+            Box::new(sim)
+        };
+        cases.push(("par forced".to_string(), forced(&base), forced(&on)));
     }
     for (label, mut off, mut on) in cases {
         let mut golden = Interpreter::new(&netlist);

@@ -28,7 +28,7 @@ use essent_core::plan::{extended_dag, CcssPlan, PlanOptions, WakeRouting};
 use essent_netlist::Netlist;
 use essent_sim::batch::BatchAudit;
 use essent_sim::compile::{compile_plan, Layout};
-use essent_sim::step1::{lower_tier1, OutSpec, Tier1Program};
+use essent_sim::step1::lower_plan;
 use essent_sim::EngineConfig;
 
 /// Audits a batch engine's captured stride/routing/permutation tables
@@ -130,24 +130,7 @@ pub fn check_batch(netlist: &Netlist, config: &EngineConfig, audit: &BatchAudit)
     // --- X0801 (continued): routed offsets inside the partition's
     //     independently derived write footprint ----------------------
     let blocks = compile_plan(netlist, &layout, &plan, config);
-    let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-        let fuse = config.fuse_triggers && config.trigger_push;
-        plan.partitions
-            .iter()
-            .zip(&blocks)
-            .map(|(part, block)| {
-                let outs: Vec<OutSpec> = part
-                    .outputs
-                    .iter()
-                    .map(|o| OutSpec {
-                        sig: o.signal,
-                        consumers: o.consumers.clone(),
-                    })
-                    .collect();
-                lower_tier1(netlist, block, &outs, fuse)
-            })
-            .collect()
-    });
+    let programs = lower_plan(netlist, &plan, &blocks, config);
     let (footprints, _fp_report) =
         derive_footprints(netlist, &layout, &plan, &blocks, programs.as_deref());
     if footprints.len() == np {

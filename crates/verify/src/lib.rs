@@ -56,7 +56,7 @@ use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_netlist::Netlist;
 use essent_sim::compile::{compile_plan, Layout};
 use essent_sim::par::CostModel;
-use essent_sim::step1::{lower_tier1, OutSpec, Tier1Program};
+use essent_sim::step1::{lower_plan, OutSpec};
 use essent_sim::EngineConfig;
 
 /// Everything a full verification run produces: the merged report, the
@@ -106,32 +106,31 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     report.merge(check_layout(netlist, &layout));
     let blocks = compile_plan(netlist, &layout, &plan, config);
     report.merge(check_blocks(netlist, &layout, &blocks, Some(&plan)));
-    if config.tier1 {
-        // Lower exactly as the engines do and audit each program.
+    // Lower exactly as the engines do (by calling the engines' own
+    // lowering) and audit each program.
+    if let Some(programs) = lower_plan(netlist, &plan, &blocks, config) {
         let fuse = config.fuse_triggers && config.trigger_push;
-        for (sched, (part, block)) in plan.partitions.iter().zip(&blocks).enumerate() {
-            let outs: Vec<OutSpec> = part
-                .outputs
-                .iter()
-                .map(|o| OutSpec {
-                    sig: o.signal,
-                    consumers: o.consumers.clone(),
-                })
-                .collect();
-            let prog = lower_tier1(netlist, block, &outs, fuse);
+        for (sched, ((part, block), prog)) in plan
+            .partitions
+            .iter()
+            .zip(&blocks)
+            .zip(&programs)
+            .enumerate()
+        {
+            let outs = OutSpec::of_partition(part);
             report.merge(check_tier1(
-                netlist, &layout, block, &outs, &prog, fuse, sched,
+                netlist, &layout, block, &outs, prog, fuse, sched,
             ));
             // --- J07: native-code audit layer -------------------------
             // Both emitters are pure byte generators, so both streams
             // are generated and audited regardless of the build host
             // (x86-64 audited as-if popcnt is available; a host without
             // it would simply not compile Xorr partitions at all).
-            if let Some(code) = essent_sim::jit::x64::emit(&prog, true) {
-                report.merge(check_jit(&prog, &code, sched));
+            if let Some(code) = essent_sim::jit::x64::emit(prog, true) {
+                report.merge(check_jit(prog, &code, sched));
             }
-            if let Some(code) = essent_sim::jit::a64::emit(&prog) {
-                report.merge(check_jit(&prog, &code, sched));
+            if let Some(code) = essent_sim::jit::a64::emit(prog) {
+                report.merge(check_jit(prog, &code, sched));
             }
         }
     }
@@ -173,25 +172,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         },
     );
     let par_blocks = compile_plan(netlist, &layout, &par_plan, config);
-    let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-        let fuse = config.fuse_triggers && config.trigger_push;
-        par_plan
-            .partitions
-            .iter()
-            .zip(&par_blocks)
-            .map(|(part, block)| {
-                let outs: Vec<OutSpec> = part
-                    .outputs
-                    .iter()
-                    .map(|o| OutSpec {
-                        sig: o.signal,
-                        consumers: o.consumers.clone(),
-                    })
-                    .collect();
-                lower_tier1(netlist, block, &outs, fuse)
-            })
-            .collect()
-    });
+    let programs = lower_plan(netlist, &par_plan, &par_blocks, config);
     let (fp_report, may_overlap) = check_footprint(
         netlist,
         &layout,

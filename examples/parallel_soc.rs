@@ -5,7 +5,7 @@
 //! partitioning on a worker pool — the direction of the follow-on
 //! research building on ESSENT — but only when the measured work per
 //! cycle pays for the cross-worker handoffs; below that crossover it
-//! sweeps on the calling thread. A low-activity workload like this one
+//! runs the sequential engine's own cycle on the calling thread. A low-activity workload like this one
 //! stays below it, so this example reports what it measures honestly
 //! rather than promising a win.
 //!
